@@ -19,7 +19,7 @@ print("phi^2 == phi + 1:", PHI * PHI == PHI + 1)  # exact, not approximate
 print("phi to 10 digits:", to_decimal(PHI, 10))
 print("phi to 30 digits:", to_decimal(PHI, 30))
 
-# comparisons are decided exactly, by refining rational enclosures
+# comparisons are decided exactly, from the signs of integer polynomials
 print("sqrt(3)*sqrt(5) == sqrt(15):", SQRT3 * SQRT5 == SQRT15)
 print("phi < 1.62:", PHI < Fraction(162, 100))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,11 @@ from .tessellation import HexIndex, VertexRef, enumerate_vertices
 
 # decimals always print with "."; parse_rational additionally accepts ","
 DECIMAL_SEPARATOR = "."
+
+# Python converts no int of more than 4300 digits to a string
+# (sys.int_info.default_max_str_digits), and the fraction digits of a decimal
+# are printed from one int
+MAX_DIGITS = 4300
 
 
 def _vertex_arg(text: str) -> VertexRef:
@@ -41,7 +47,7 @@ def _positive_rational_arg(text: str) -> Fraction:
     return value
 
 
-def _int_at_least(minimum: int):
+def _int_at_least(minimum: int, maximum: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text, 10)
@@ -49,6 +55,10 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
         if value < minimum:
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer from {minimum} to {maximum}, got {text!r}"
+            )
         return value
 
     return parse
@@ -185,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_vertex_and_side(sub: argparse.ArgumentParser) -> None:
+    def add_vertex(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--vertex",
             type=_vertex_arg,
@@ -193,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="Q,R,C",
             help="tessellation vertex as hexagon q,r and corner c (default 0,0,0)",
         )
+
+    def add_side(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--side",
             type=_positive_rational_arg,
@@ -202,26 +214,21 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     verify = subparsers.add_parser("verify", help="check one vertex exactly")
-    add_vertex_and_side(verify)
-    verify.add_argument("--digits", type=_int_at_least(1), default=10, metavar="D")
+    add_vertex(verify)
+    add_side(verify)
+    verify.add_argument("--digits", type=_int_at_least(1, MAX_DIGITS), default=10, metavar="D")
     verify.add_argument("--json", action="store_true", help="emit the full report as JSON")
     verify.set_defaults(handler=_cmd_verify)
 
     scan = subparsers.add_parser("scan", help="check every vertex of a hexagonal patch")
     scan.add_argument("--radius", type=_int_at_least(0), required=True, metavar="N")
-    scan.add_argument(
-        "--side",
-        type=_positive_rational_arg,
-        default=Fraction(1),
-        metavar="P/Q",
-        help="hexagon side length, a positive rational (default 1)",
-    )
+    add_side(scan)
     scan.add_argument("--json", action="store_true")
     scan.set_defaults(handler=_cmd_scan)
 
     fib = subparsers.add_parser("fib", help="Fibonacci convergent table with variances")
     fib.add_argument("--max", type=_int_at_least(2), required=True, metavar="N")
-    fib.add_argument("--digits", type=_int_at_least(1), default=10, metavar="D")
+    fib.add_argument("--digits", type=_int_at_least(1, MAX_DIGITS), default=10, metavar="D")
     fib.add_argument("--rounding", choices=(TRUNCATE, HALF_EVEN), default=TRUNCATE)
     fib.add_argument("--json", action="store_true")
     fib.set_defaults(handler=_cmd_fib)
@@ -232,16 +239,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     render = subparsers.add_parser("render", help="write the construction as an SVG figure")
     render.add_argument("--out", required=True, metavar="FILE")
-    add_vertex_and_side(render)
+    add_vertex(render)
+    add_side(render)
     render.set_defaults(handler=_cmd_render)
 
     return parser
 
 
+def _join_negative_vertex(argv: list[str]) -> list[str]:
+    """Rewrite ``--vertex -1,0,3`` as ``--vertex=-1,0,3``, abbreviations too.
+
+    argparse takes a separate value that starts with "-" and is not a plain
+    number for an option, so ``--vertex`` would be left without its value.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        flag = joined[-1] if joined else ""
+        if len(flag) > 2 and "--vertex".startswith(flag) and re.match(r"-\d", arg):
+            joined[-1] = f"{flag}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_vertex(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 2

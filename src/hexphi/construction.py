@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import PHI, QuadExt, format_fraction, sign, to_decimal
+from .exact import PHI, QuadExt, format_fraction, positive_rational, sign, to_decimal
 from .fibonacci import Convergent, assess_nearest
 from .geometry import (
     Circle,
@@ -120,11 +120,7 @@ def build_cluster(vertex: VertexRef, side: int | Fraction = 1) -> Cluster:
     Small, middle and large radii are side/2, side and 2*side; O lies on
     each middle circle because a hexagon's circumradius equals its side.
     """
-    if isinstance(side, float):
-        raise TypeError("side must be exact; pass Fraction or int")
-    side = Fraction(side)
-    if side <= 0:
-        raise ValueError("side must be positive")
+    side = positive_rational("side", side)
     o = vertex_point(vertex, side)
     triples = []
     for hexagon in incident_hexagons(vertex):

@@ -7,10 +7,14 @@ field over the rationals, a value has exactly one coefficient quadruple, so
 equality, hashing and zero tests are structural and tolerance-free.
 
 Two questions cannot be answered coefficient-wise: the sign of an element and
-its decimal rendering.  Both are decided by refining rational interval
-enclosures of sqrt(3) and sqrt(5) (interval halving, seeded from three-digit
-brackets) until the answer is unambiguous.  A nonzero element is bounded away
-from zero, so both loops terminate.
+its decimal rendering.  The sign is decided algebraically (Yap, "Towards exact
+geometric computation", 1997): splitting off sqrt(5), then sqrt(3), reduces it
+to the signs of a few integer polynomials in the coefficients, with no
+loop and no precision to choose.  A decimal encloses the element between two
+rationals built from ``math.isqrt`` of 3, 5 and 15 at a power-of-ten scale
+(Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, section 1.5) and
+doubles the guard digits until both ends round alike.  Neither keeps state
+between calls.
 """
 
 from __future__ import annotations
@@ -36,6 +40,16 @@ def _fraction(value: int | Fraction) -> Fraction:
     if isinstance(value, float):
         raise TypeError("float coefficients are not exact; pass Fraction or int")
     return Fraction(value)
+
+
+def positive_rational(name: str, value: int | Fraction) -> Fraction:
+    """`value` as a Fraction; `name` labels the error for a float or a value <= 0."""
+    if isinstance(value, float):
+        raise TypeError(f"{name} must be exact; pass Fraction or int")
+    value = Fraction(value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 class QuadExt:
@@ -263,76 +277,49 @@ SQRT15 = QuadExt(0, 0, 0, 1)
 PHI = QuadExt(Fraction(1, 2), 0, Fraction(1, 2))
 
 
-class _RootEnclosure:
-    """Monotonically refined rational bracket ``lo < sqrt(n) < hi``.
-
-    Refinement halves the bracket; because ``sqrt(n)`` is irrational the
-    midpoint never lands on it and the bracket stays strict.  The tightest
-    bracket seen so far is kept, so repeated callers share the work.
-    """
-
-    __slots__ = ("_radicand", "_bounds")
-
-    def __init__(self, radicand: int, lo: Fraction, hi: Fraction) -> None:
-        self._radicand = radicand
-        self._bounds = (lo, hi)
-
-    def refined(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        lo, hi = self._bounds
-        if hi - lo <= width:
-            return lo, hi
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if mid * mid < self._radicand:
-                lo = mid
-            else:
-                hi = mid
-        self._bounds = (lo, hi)
-        return lo, hi
+def _integer_form(x: QuadExt) -> tuple[int, int, int, int, int]:
+    """``(den, a, b, c, d)`` with integers, ``den > 0`` and
+    ``x == (a + b*sqrt3 + c*sqrt5 + d*sqrt15) / den``."""
+    den = math.lcm(x.a.denominator, x.b.denominator, x.c.denominator, x.d.denominator)
+    return (
+        den,
+        x.a.numerator * (den // x.a.denominator),
+        x.b.numerator * (den // x.b.denominator),
+        x.c.numerator * (den // x.c.denominator),
+        x.d.numerator * (den // x.d.denominator),
+    )
 
 
-_SQRT3_BOUNDS = _RootEnclosure(3, Fraction(1732, 1000), Fraction(1733, 1000))
-_SQRT5_BOUNDS = _RootEnclosure(5, Fraction(2236, 1000), Fraction(2237, 1000))
-
-
-def _enclosure(x: QuadExt, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational interval containing x, with the roots refined to `width`."""
-    lo3, hi3 = _SQRT3_BOUNDS.refined(width)
-    lo5, hi5 = _SQRT5_BOUNDS.refined(width)
-    lo = hi = x.a
-    for coeff, clo, chi in (
-        (x.b, lo3, hi3),
-        (x.c, lo5, hi5),
-        (x.d, lo3 * lo5, hi3 * hi5),
-    ):
-        if coeff >= 0:
-            lo += coeff * clo
-            hi += coeff * chi
-        else:
-            lo += coeff * chi
-            hi += coeff * clo
-    return lo, hi
+def _sign_sqrt3(a: int, b: int) -> int:
+    """Sign of ``a + b*sqrt3`` for integers a and b."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    # opposite signs: a - b*sqrt3 has the sign of a, and the product of the
+    # two is a*a - 3*b*b, a nonzero integer because sqrt3 is irrational
+    return sa if a * a > 3 * b * b else -sa
 
 
 def sign(value: QuadExt | int | Fraction) -> int:
-    """Exact sign (-1, 0, +1).
+    """Exact sign (-1, 0, +1), decided algebraically.
 
-    Zero is decided structurally from the coefficients; a nonzero irrational
-    value is separated from zero by refining the root enclosures.
+    Write the value as ``p + q*sqrt5`` with ``p = a + b*sqrt3`` and
+    ``q = c + d*sqrt3``.  When p and q do not have opposite signs the answer
+    is immediate; otherwise it is ``sign(p) * sign(p*p - 5*q*q)``, and
+    ``p*p - 5*q*q`` lies in Q(sqrt3).  Each sign in Q(sqrt3) is settled the
+    same way over the rationals, so no approximation of a root is needed.
     """
-    x = as_quadext(value)
-    if x.is_zero:
-        return 0
-    if x.is_rational:
-        return -1 if x.a < 0 else 1
-    width = Fraction(1, 1_000_000)
-    while True:
-        lo, hi = _enclosure(x, width)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        width /= 1 << 16
+    _, a, b, c, d = _integer_form(as_quadext(value))
+    sp = _sign_sqrt3(a, b)
+    sq = _sign_sqrt3(c, d)
+    if sp == sq or not sq:
+        return sp
+    if not sp:
+        return sq
+    return sp * _sign_sqrt3(a * a + 3 * b * b - 5 * c * c - 15 * d * d, 2 * (a * b - 5 * c * d))
 
 
 def _rational_sqrt(value: Fraction) -> Fraction | None:
@@ -364,14 +351,11 @@ def sqrt_exact(radicand: int | Fraction) -> QuadExt:
     raise NotRepresentable(f"sqrt({r}) lies outside the field")
 
 
-def _format_scaled(value: Fraction, frac_digits: int, rounding: str) -> str:
-    scaled = value * 10**frac_digits
-    if rounding == HALF_EVEN:
-        units = round(scaled)
-    elif rounding == TRUNCATE:
-        units = math.trunc(scaled)
-    else:
-        raise ValueError(f"unknown rounding mode {rounding!r}; use one of {_ROUNDING_MODES}")
+def _rounded(scaled: Fraction, rounding: str) -> int:
+    return round(scaled) if rounding == HALF_EVEN else math.trunc(scaled)
+
+
+def _format_units(units: int, frac_digits: int) -> str:
     prefix = "-" if units < 0 else ""
     whole, frac = divmod(abs(units), 10**frac_digits)
     return f"{prefix}{whole}.{frac:0{frac_digits}d}"
@@ -383,9 +367,10 @@ def to_decimal(
     """Decimal string with exactly `frac_digits` fractional digits.
 
     ``half-even`` rounds ties to the even last digit; ``truncate`` drops the
-    tail toward zero.  Irrational values are enclosed ever more tightly until
-    both interval ends render identically, which settles the rounding without
-    ever leaving rational arithmetic.
+    tail toward zero.  An irrational value times ``10**(frac_digits + guard)``
+    is enclosed between two rationals built from the integer square roots of
+    3, 5 and 15 at that scale; the guard digits double until both ends round
+    to the same digits, which then are the value's own.
     """
     if frac_digits < 1:
         raise ValueError("frac_digits must be at least 1")
@@ -393,14 +378,21 @@ def to_decimal(
         raise ValueError(f"unknown rounding mode {rounding!r}; use one of {_ROUNDING_MODES}")
     x = as_quadext(value)
     if x.is_rational:
-        return _format_scaled(x.a, frac_digits, rounding)
-    width = Fraction(1, 10 ** (frac_digits + 2))
+        return _format_units(_rounded(x.a * 10**frac_digits, rounding), frac_digits)
+    den, a, b, c, d = _integer_form(x)
+    guard = 8  # settles every coordinate of a rendered figure in one try
     while True:
-        lo, hi = _enclosure(x, width)
-        rendered = _format_scaled(lo, frac_digits, rounding)
-        if rendered == _format_scaled(hi, frac_digits, rounding):
-            return rendered
-        width /= 1 << 16
+        scale = 10 ** (frac_digits + guard)
+        lo = hi = a * scale
+        for coeff, radicand in ((b, 3), (c, 5), (d, 15)):
+            # root < sqrt(radicand) * scale < root + 1, strictly: the root is irrational
+            root = math.isqrt(radicand * scale * scale)
+            lo += coeff * (root if coeff >= 0 else root + 1)
+            hi += coeff * (root + 1 if coeff >= 0 else root)
+        units = _rounded(Fraction(lo, den * 10**guard), rounding)
+        if units == _rounded(Fraction(hi, den * 10**guard), rounding):
+            return _format_units(units, frac_digits)
+        guard *= 2
 
 
 def format_fraction(value: Fraction) -> str:

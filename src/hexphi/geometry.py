@@ -66,16 +66,6 @@ class Circle:
         object.__setattr__(self, "radius", radius)
 
 
-@dataclass(frozen=True)
-class Segment:
-    a: Point
-    b: Point
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError("segment endpoints must differ")
-
-
 class PointInsideCircle(ValueError):
     """No tangent line exists from a point strictly inside a circle."""
 

@@ -18,20 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import Cluster, PhiReport
-from .exact import QuadExt, sign, to_decimal
+from .exact import QuadExt, positive_rational, sign, to_decimal
 from .geometry import Point
 from .tessellation import hex_corners
 
 _SVG_OPEN = '<?xml version="1.0" encoding="UTF-8"?>\n'
-
-
-def _checked_positive(name: str, value: int | Fraction) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"{name} must be exact; pass Fraction or int")
-    value = Fraction(value)
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
-    return value
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,7 @@ class RenderOptions:
             raise ValueError("frac_digits must be a positive integer")
         for name in ("canvas_scale", "hexagon_stroke", "circle_stroke",
                      "tangent_stroke", "segment_stroke"):
-            object.__setattr__(self, name, _checked_positive(name, getattr(self, name)))
+            object.__setattr__(self, name, positive_rational(name, getattr(self, name)))
 
 
 def render_svg(report: PhiReport, cluster: Cluster, options: RenderOptions | None = None) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadExt
+from .exact import QuadExt, positive_rational
 from .geometry import Point
 
 #: Axial steps to the six neighbors, listed by azimuth 30 + 60*i degrees.
@@ -27,15 +27,6 @@ _HALF = Fraction(1, 2)
 # split into the rational part and the coefficient of sqrt(3)
 _CORNER_COS = (Fraction(1), _HALF, -_HALF, Fraction(-1), -_HALF, _HALF)
 _CORNER_SIN_SQRT3 = (Fraction(0), _HALF, _HALF, Fraction(0), -_HALF, -_HALF)
-
-
-def _checked_side(side: int | Fraction) -> Fraction:
-    if isinstance(side, float):
-        raise TypeError("side must be exact; pass Fraction or int")
-    side = Fraction(side)
-    if side <= 0:
-        raise ValueError("side must be positive")
-    return side
 
 
 @dataclass(frozen=True, order=True)
@@ -98,7 +89,7 @@ class VertexRef:
 
 
 def hex_center(hexagon: HexIndex, side: int | Fraction = 1) -> Point:
-    side = _checked_side(side)
+    side = positive_rational("side", side)
     x = QuadExt(side * Fraction(3, 2) * hexagon.q)
     y = QuadExt(0, side * (Fraction(hexagon.q, 2) + hexagon.r))
     return Point(x, y)
@@ -106,7 +97,7 @@ def hex_center(hexagon: HexIndex, side: int | Fraction = 1) -> Point:
 
 def hex_corners(hexagon: HexIndex, side: int | Fraction = 1) -> list[Point]:
     """The six corner points, corner 0 first."""
-    side = _checked_side(side)
+    side = positive_rational("side", side)
     center = hex_center(hexagon, side)
     return [
         Point(center.x + QuadExt(side * _CORNER_COS[k]), center.y + QuadExt(0, side * _CORNER_SIN_SQRT3[k]))
@@ -115,7 +106,7 @@ def hex_corners(hexagon: HexIndex, side: int | Fraction = 1) -> list[Point]:
 
 
 def vertex_point(vertex: VertexRef, side: int | Fraction = 1) -> Point:
-    side = _checked_side(side)
+    side = positive_rational("side", side)
     center = hex_center(vertex.hex, side)
     k = vertex.corner
     return Point(

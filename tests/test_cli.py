@@ -39,6 +39,22 @@ def test_verify_nondefault_vertex_and_side(capsys):
     assert "PHI-EXACT: PASS" in out
 
 
+def test_verify_vertex_value_may_start_with_minus(capsys):
+    separate = run(capsys, "verify", "--vertex", "-1,0,3")
+    joined = run(capsys, "verify", "--vertex=-1,0,3")
+    assert separate == joined == run(capsys, "verify", "--vert", "-1,0,3")
+    assert separate[0] == 0 and "PHI-EXACT: PASS" in separate[1]
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "fib"])
+def test_digits_above_limit_is_usage_error(capsys, subcommand):
+    extra = ["--max", "3"] if subcommand == "fib" else []
+    code, out, err = run(capsys, subcommand, *extra, "--digits", "4301")
+    assert code == 2
+    assert out == ""
+    assert "from 1 to 4300" in err
+
+
 def test_verify_corner_out_of_range_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--vertex", "0,0,9")
     assert code == 2
@@ -204,6 +220,13 @@ def test_render_writes_golden_bytes(capsys, tmp_path):
     assert code == 0
     assert f"wrote {out_file}" in out
     assert out_file.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_render_vertex_value_may_start_with_minus(capsys, tmp_path):
+    separate, joined = tmp_path / "separate.svg", tmp_path / "joined.svg"
+    assert run(capsys, "render", "--out", str(separate), "--vertex", "-1,0,3")[0] == 0
+    assert run(capsys, "render", "--out", str(joined), "--vertex=-1,0,3")[0] == 0
+    assert separate.read_bytes() == joined.read_bytes()
 
 
 def test_render_unwritable_path(capsys, tmp_path):

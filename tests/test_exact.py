@@ -168,7 +168,7 @@ def test_sign_examples():
 def test_sign_separates_close_values():
     # sqrt3 + sqrt5 vs sqrt15: 3.968... vs 3.872...
     assert sign(SQRT3 + SQRT5 - SQRT15) == 1
-    # 15-digit rational brackets of sqrt3 force deep refinement
+    # the two 15-digit rationals on either side of sqrt3
     assert sign(SQRT3 - Fraction(1732050807568877, 10**15)) == 1
     assert sign(SQRT3 - Fraction(1732050807568878, 10**15)) == -1
 

@@ -13,7 +13,6 @@ from hexphi.geometry import (
     ParamLine,
     Point,
     PointInsideCircle,
-    Segment,
     compare_directions,
     direction_angle_key,
     is_tangent,
@@ -58,11 +57,6 @@ def test_circle_rejects_nonpositive_radius():
         Circle(Point(0, 0), QuadExt(0))
     with pytest.raises(ValueError):
         Circle(Point(0, 0), QuadExt(-1))
-
-
-def test_segment_rejects_equal_endpoints():
-    with pytest.raises(ValueError):
-        Segment(Point(1, 2), Point(1, 2))
 
 
 def test_point_at_walks_the_line():
