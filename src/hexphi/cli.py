@@ -10,24 +10,20 @@ figure).  Exit codes: 0 success or verified, 1 verification failed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
 from fractions import Fraction
 
 from .construction import build_cluster, make_report, verify_phi
-from .exact import HALF_EVEN, TRUNCATE, format_fraction, parse_rational
-from .fibonacci import assess_nearest, convergent
+from .exact import HALF_EVEN, MAX_DIGITS, TRUNCATE, format_fraction, parse_rational
+from .fibonacci import assess_nearest, convergents
 from .render import render_svg
 from .tessellation import HexIndex, VertexRef, enumerate_vertices
 
 # decimals always print with "."; parse_rational additionally accepts ","
 DECIMAL_SEPARATOR = "."
-
-# Python converts no int of more than 4300 digits to a string
-# (sys.int_info.default_max_str_digits), and the fraction digits of a decimal
-# are printed from one int
-MAX_DIGITS = 4300
 
 
 def _vertex_arg(text: str) -> VertexRef:
@@ -133,7 +129,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
-    rows = [convergent(n) for n in range(2, args.max + 1)]
+    rows = list(itertools.islice(convergents(), args.max - 1))
     if args.json:
         _print_json(
             {

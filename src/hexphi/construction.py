@@ -207,7 +207,9 @@ def make_report(cluster: Cluster, frac_digits: int = 10) -> PhiReport:
     fib_assessment = None
     if phi_exact_ok:
         ratio_decimal = to_decimal(PHI, frac_digits)
-        fib_assessment = assess_nearest(ratio_decimal)
+        # at 4300 digits the decimal's numerator has 4301, more than
+        # parse_rational accepts from a user; Fraction reads it in two parts
+        fib_assessment = assess_nearest(Fraction(ratio_decimal))
     return PhiReport(
         vertex=cluster.vertex,
         side=cluster.side,

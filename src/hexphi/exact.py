@@ -1,15 +1,19 @@
 """Exact arithmetic in the real field obtained from the rationals by adjoining
 sqrt(3) and sqrt(5).
 
-Every element is stored as ``a + b*sqrt(3) + c*sqrt(5) + d*sqrt(15)`` with
-rational coefficients.  Since ``{1, sqrt3, sqrt5, sqrt15}`` is a basis of the
-field over the rationals, a value has exactly one coefficient quadruple, so
-equality, hashing and zero tests are structural and tolerance-free.
+Every element is stored as ``(a + b*sqrt(3) + c*sqrt(5) + d*sqrt(15)) / den``:
+four int numerators over one positive int denominator, with no factor common
+to all five (the integer-vector form of Cohen, *A Course in Computational
+Algebraic Number Theory*, 1993, section 4.2).  Since
+``{1, sqrt3, sqrt5, sqrt15}`` is a basis of the field over the rationals, a
+value has exactly one such form, so equality, hashing and zero tests are
+structural and tolerance-free, and arithmetic is integer arithmetic plus one
+gcd per result.
 
 Two questions cannot be answered coefficient-wise: the sign of an element and
 its decimal rendering.  The sign is decided algebraically (Yap, "Towards exact
 geometric computation", 1997): splitting off sqrt(5), then sqrt(3), reduces it
-to the signs of a few integer polynomials in the coefficients, with no
+to the signs of a few integer polynomials in the numerators, with no
 loop and no precision to choose.  A decimal encloses the element between two
 rationals built from ``math.isqrt`` of 3, 5 and 15 at a power-of-ten scale
 (Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, section 1.5) and
@@ -20,12 +24,22 @@ between calls.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 HALF_EVEN = "half-even"
 TRUNCATE = "truncate"
 
 _ROUNDING_MODES = (HALF_EVEN, TRUNCATE)
+
+# Python converts no int of more than 4300 digits to or from a string
+# (sys.int_info.default_max_str_digits): the fraction digits of a decimal are
+# printed from one int, and a rational literal is read as two ints
+MAX_DIGITS = 4300
+
+# every decimal literal that `Fraction` reads, and some it rejects: sign,
+# whole digits, fraction digits, exponent (compiled on first use, not on import)
+_DECIMAL_LITERAL = r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d+(?:_\d+)*))?"
 
 
 class NotRepresentable(ArithmeticError):
@@ -53,14 +67,17 @@ def positive_rational(name: str, value: int | Fraction) -> Fraction:
 
 
 class QuadExt:
-    """Field element ``a + b*sqrt(3) + c*sqrt(5) + d*sqrt(15)``.
+    """Field element ``(a + b*sqrt(3) + c*sqrt(5) + d*sqrt(15)) / den``.
 
-    Coefficients are ``Fraction`` values and the representation is unique, so
-    ``==`` is mathematical equality.  Arithmetic closes over the field;
-    division uses the conjugate product, staying exact.
+    The four numerators are ints over one positive int denominator, reduced
+    so that ``gcd(a, b, c, d, den) == 1``.  That form is unique, so ``==`` is
+    mathematical equality and the hash is structural.  The ``a`` to ``d``
+    properties give each coefficient as a reduced ``Fraction``.  Arithmetic
+    closes over the field in ints: a product is 16 integer products and one
+    gcd, and the inverse has a closed form (see `inverse`).
     """
 
-    __slots__ = ("_a", "_b", "_c", "_d")
+    __slots__ = ("_num", "_den")
 
     def __init__(
         self,
@@ -69,45 +86,47 @@ class QuadExt:
         c: int | Fraction = 0,
         d: int | Fraction = 0,
     ) -> None:
-        self._a = _fraction(a)
-        self._b = _fraction(b)
-        self._c = _fraction(c)
-        self._d = _fraction(d)
+        coeffs = [_fraction(value) for value in (a, b, c, d)]
+        # over the lcm of reduced denominators the form is already reduced
+        den = math.lcm(*(coeff.denominator for coeff in coeffs))
+        self._num = tuple(coeff.numerator * (den // coeff.denominator) for coeff in coeffs)
+        self._den = den
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._num[0], self._den)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._num[1], self._den)
 
     @property
     def c(self) -> Fraction:
-        return self._c
+        return Fraction(self._num[2], self._den)
 
     @property
     def d(self) -> Fraction:
-        return self._d
+        return Fraction(self._num[3], self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not (self._a or self._b or self._c or self._d)
+        return not any(self._num)
 
     @property
     def is_rational(self) -> bool:
-        return not (self._b or self._c or self._d)
+        _, b, c, d = self._num
+        return not (b or c or d)
 
     def __repr__(self) -> str:
-        return f"QuadExt({self._a!r}, {self._b!r}, {self._c!r}, {self._d!r})"
+        return f"QuadExt({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
     def __str__(self) -> str:
         terms = []
         for coeff, suffix in (
-            (self._a, ""),
-            (self._b, "*sqrt3"),
-            (self._c, "*sqrt5"),
-            (self._d, "*sqrt15"),
+            (self.a, ""),
+            (self.b, "*sqrt3"),
+            (self.c, "*sqrt5"),
+            (self.d, "*sqrt15"),
         ):
             if coeff:
                 terms.append(f"{coeff}{suffix}")
@@ -115,26 +134,22 @@ class QuadExt:
 
     def __hash__(self) -> int:
         if self.is_rational:
-            return hash(self._a)
-        return hash((self._a, self._b, self._c, self._d))
+            return hash(self.a)
+        return hash((self._num, self._den))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
-            return (
-                self._a == other._a
-                and self._b == other._b
-                and self._c == other._c
-                and self._d == other._d
-            )
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self._a == other
+            return self._den == other.denominator and self._num == (other.numerator, 0, 0, 0)
         return NotImplemented
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self._a, -self._b, -self._c, -self._d)
+        a, b, c, d = self._num
+        return _new((-a, -b, -c, -d), self._den)
 
     def __pos__(self) -> QuadExt:
         return self
@@ -146,7 +161,7 @@ class QuadExt:
         o = _as_quadext(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self._a + o._a, self._b + o._b, self._c + o._c, self._d + o._d)
+        return _sum(self, o._num, o._den)
 
     __radd__ = __add__
 
@@ -154,7 +169,8 @@ class QuadExt:
         o = _as_quadext(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self._a - o._a, self._b - o._b, self._c - o._c, self._d - o._d)
+        a, b, c, d = o._num
+        return _sum(self, (-a, -b, -c, -d), o._den)
 
     def __rsub__(self, other: QuadExt | int | Fraction) -> QuadExt:
         o = _as_quadext(other)
@@ -166,13 +182,14 @@ class QuadExt:
         o = _as_quadext(other)
         if o is None:
             return NotImplemented
-        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
-        a2, b2, c2, d2 = o._a, o._b, o._c, o._d
-        return QuadExt(
+        a1, b1, c1, d1 = self._num
+        a2, b2, c2, d2 = o._num
+        return _reduced(
             a1 * a2 + 3 * b1 * b2 + 5 * c1 * c2 + 15 * d1 * d2,
             a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            self._den * o._den,
         )
 
     __rmul__ = __mul__
@@ -218,44 +235,93 @@ class QuadExt:
 
     def conj_sqrt3(self) -> QuadExt:
         """Image under the automorphism sending sqrt(3) to -sqrt(3)."""
-        return QuadExt(self._a, -self._b, self._c, -self._d)
+        a, b, c, d = self._num
+        return _new((a, -b, c, -d), self._den)
 
     def conj_sqrt5(self) -> QuadExt:
         """Image under the automorphism sending sqrt(5) to -sqrt(5)."""
-        return QuadExt(self._a, self._b, -self._c, -self._d)
+        a, b, c, d = self._num
+        return _new((a, b, -c, -d), self._den)
 
     def inverse(self) -> QuadExt:
-        """Multiplicative inverse via the product of the three conjugates.
+        """Multiplicative inverse in closed form.
 
-        ``x * conj3(x) * conj5(x) * conj3(conj5(x))`` is rational (the field
-        norm), so the inverse is that conjugate product over the norm.
+        Write the numerator as ``p + q*sqrt3`` with ``p = a + c*sqrt5`` and
+        ``q = b + d*sqrt5``.  Its product with the conjugate ``p - q*sqrt3``
+        is ``u + v*sqrt5 = p*p - 3*q*q``, and ``(u + v*sqrt5)(u - v*sqrt5)``
+        is the integer norm ``N = u*u - 5*v*v``, nonzero for a nonzero value.
+        The inverse is therefore ``den * (p - q*sqrt3) * (u - v*sqrt5) / N``.
         """
-        if self.is_zero:
+        a, b, c, d = self._num
+        if not (a or b or c or d):
             raise ZeroDivisionError("inverse of zero field element")
-        partial = self.conj_sqrt3() * self.conj_sqrt5() * self.conj_sqrt3().conj_sqrt5()
-        norm = self * partial
-        # the norm is rational by construction
-        scale = 1 / norm._a
-        return QuadExt(
-            partial._a * scale, partial._b * scale, partial._c * scale, partial._d * scale
+        u = a * a - 3 * b * b + 5 * c * c - 15 * d * d
+        v = 2 * (a * c - 3 * b * d)
+        norm = u * u - 5 * v * v
+        scale = self._den if norm > 0 else -self._den
+        return _reduced(
+            scale * (a * u - 5 * c * v),
+            scale * (5 * d * v - b * u),
+            scale * (c * u - a * v),
+            scale * (b * v - d * u),
+            abs(norm),
         )
 
     def to_json(self) -> dict[str, str]:
         """Coefficients as canonical ``p/q`` strings plus a 12-digit decimal."""
         return {
-            "a": format_fraction(self._a),
-            "b": format_fraction(self._b),
-            "c": format_fraction(self._c),
-            "d": format_fraction(self._d),
+            "a": format_fraction(self.a),
+            "b": format_fraction(self.b),
+            "c": format_fraction(self.c),
+            "d": format_fraction(self.d),
             "decimal": to_decimal(self, 12),
         }
+
+
+def _new(num: tuple[int, int, int, int], den: int) -> QuadExt:
+    """The element ``num / den``; the caller guarantees the reduced form."""
+    x = object.__new__(QuadExt)
+    x._num = num
+    x._den = den
+    return x
+
+
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> QuadExt:
+    """``(a, b, c, d) / den`` for ``den > 0``, divided by the common gcd."""
+    g = math.gcd(den, a, b, c, d)
+    if g == 1:
+        return _new((a, b, c, d), den)
+    return _new((a // g, b // g, c // g, d // g), den // g)
+
+
+def _sum(x: QuadExt, num: tuple[int, int, int, int], den: int) -> QuadExt:
+    """``x + num/den`` for a reduced ``num/den``, with Henrici's reduction.
+
+    With ``g = gcd(e1, e2)`` of the two denominators, the sum is
+    ``t / (e1*e2/g)`` for ``t = n1*(e2/g) + n2*(e1/g)``.  A prime that
+    divides ``e1/g`` or ``e2/g`` cannot divide all of t, since each term is
+    reduced, so the common factor of the sum is ``gcd(g, t)``: 1 when the
+    denominators are coprime.  `fractions` adds two ``Fraction`` values the
+    same way.
+    """
+    a1, b1, c1, d1 = x._num
+    a2, b2, c2, d2 = num
+    e1 = x._den
+    g = math.gcd(e1, den)
+    s = e1 // g
+    t = den // g
+    a, b, c, d = a1 * t + a2 * s, b1 * t + b2 * s, c1 * t + c2 * s, d1 * t + d2 * s
+    g2 = math.gcd(g, a, b, c, d)  # math.gcd stops at the first 1
+    if g2 == 1:
+        return _new((a, b, c, d), s * den)
+    return _new((a // g2, b // g2, c // g2, d // g2), s * (den // g2))
 
 
 def _as_quadext(value: object) -> QuadExt | None:
     if isinstance(value, QuadExt):
         return value
     if isinstance(value, (int, Fraction)):
-        return QuadExt(value)
+        return _new((value.numerator, 0, 0, 0), value.denominator)
     return None
 
 
@@ -275,19 +341,6 @@ SQRT15 = QuadExt(0, 0, 0, 1)
 
 #: The golden ratio (1 + sqrt5)/2, satisfying PHI**2 == PHI + 1 exactly.
 PHI = QuadExt(Fraction(1, 2), 0, Fraction(1, 2))
-
-
-def _integer_form(x: QuadExt) -> tuple[int, int, int, int, int]:
-    """``(den, a, b, c, d)`` with integers, ``den > 0`` and
-    ``x == (a + b*sqrt3 + c*sqrt5 + d*sqrt15) / den``."""
-    den = math.lcm(x.a.denominator, x.b.denominator, x.c.denominator, x.d.denominator)
-    return (
-        den,
-        x.a.numerator * (den // x.a.denominator),
-        x.b.numerator * (den // x.b.denominator),
-        x.c.numerator * (den // x.c.denominator),
-        x.d.numerator * (den // x.d.denominator),
-    )
 
 
 def _sign_sqrt3(a: int, b: int) -> int:
@@ -311,8 +364,10 @@ def sign(value: QuadExt | int | Fraction) -> int:
     is immediate; otherwise it is ``sign(p) * sign(p*p - 5*q*q)``, and
     ``p*p - 5*q*q`` lies in Q(sqrt3).  Each sign in Q(sqrt3) is settled the
     same way over the rationals, so no approximation of a root is needed.
+    The integer numerators stand in for the coefficients, since the common
+    denominator is positive.
     """
-    _, a, b, c, d = _integer_form(as_quadext(value))
+    a, b, c, d = as_quadext(value)._num
     sp = _sign_sqrt3(a, b)
     sq = _sign_sqrt3(c, d)
     if sp == sq or not sq:
@@ -377,9 +432,10 @@ def to_decimal(
     if rounding not in _ROUNDING_MODES:
         raise ValueError(f"unknown rounding mode {rounding!r}; use one of {_ROUNDING_MODES}")
     x = as_quadext(value)
-    if x.is_rational:
-        return _format_units(_rounded(x.a * 10**frac_digits, rounding), frac_digits)
-    den, a, b, c, d = _integer_form(x)
+    a, b, c, d = x._num
+    den = x._den
+    if not (b or c or d):
+        return _format_units(_rounded(Fraction(a * 10**frac_digits, den), rounding), frac_digits)
     guard = 8  # settles every coordinate of a rendered figure in one try
     while True:
         scale = 10 ** (frac_digits + guard)
@@ -400,18 +456,43 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _check_literal_size(num_digits: int, den_digits: int) -> None:
+    if num_digits > MAX_DIGITS or den_digits > MAX_DIGITS:
+        raise ValueError(
+            "rational literal out of range: its numerator and denominator"
+            f" may have at most {MAX_DIGITS} digits each"
+        )
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or a finite decimal; both ``.`` and ``,`` separate decimals."""
+    """Parse ``p/q`` or a finite decimal; both ``.`` and ``,`` separate decimals.
+
+    A literal whose numerator or denominator would have more than
+    `MAX_DIGITS` digits raises ``ValueError``; that is read off its
+    characters, before any int is built.
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty rational literal")
     if "/" in s:
         num, _, den = s.partition("/")
+        _check_literal_size(sum(map(str.isdigit, num)), sum(map(str.isdigit, den)))
         try:
             return Fraction(int(num), int(den))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
+    s = s.replace(",", ".", 1)
+    match = re.fullmatch(_DECIMAL_LITERAL, s)
+    if match is not None:
+        whole, frac, exponent = (group.replace("_", "") for group in match.groups(""))
+        magnitude = exponent.lstrip("+-").lstrip("0")
+        if len(magnitude) > len(str(MAX_DIGITS)):
+            # |exponent| > MAX_DIGITS: 10**|exponent| alone is too long
+            _check_literal_size(MAX_DIGITS + 1, 0)
+        shift = int(magnitude or 0) * (-1 if exponent.startswith("-") else 1) - len(frac)
+        # the value is int(whole + frac) * 10**shift
+        _check_literal_size(len(whole) + len(frac) + max(shift, 0), 1 + max(-shift, 0))
     try:
-        return Fraction(s.replace(",", ".", 1))
+        return Fraction(s)
     except ValueError:
         raise ValueError(f"not a rational literal: {text!r}") from None

@@ -9,6 +9,7 @@ rounded.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +53,14 @@ def convergent(n: int) -> Convergent:
     return Convergent(n, fib(n), fib(n - 1))
 
 
+def convergents() -> Iterator[Convergent]:
+    """The convergents for n = 2, 3, ... in turn, from one running pair."""
+    n, prev, cur = 2, 1, 1
+    while True:
+        yield Convergent(n, cur, prev)
+        n, prev, cur = n + 1, cur, prev + cur
+
+
 def variance(n: int, frac_digits: int = 10, rounding: str = HALF_EVEN) -> str:
     """Decimal rendering of the n-th convergent's distance to the golden ratio."""
     return convergent(n).variance_decimal(frac_digits, rounding)
@@ -69,17 +78,26 @@ def assess_nearest(value: str | Fraction | int) -> Convergent:
     target = parse_rational(value) if isinstance(value, str) else Fraction(value)
     if target <= 0:
         raise ValueError("ratio must be positive")
-    phi_gap = abs(QuadExt(target) - PHI)
+    # |target - phi| = side * (target - phi); phi is irrational, so side != 0
+    side = sign(QuadExt(target) - PHI)
     best: Convergent | None = None
     best_distance: Fraction | None = None
-    n = 2
-    prev, cur = 1, 1
-    while True:
-        candidate = Convergent(n, cur, prev)
+    for candidate in convergents():
         distance = abs(candidate.ratio - target)
         if best_distance is None or distance < best_distance:
             best, best_distance = candidate, distance
-        if sign(phi_gap - candidate.variance_exact() - best_distance) > 0:
-            return best
-        n += 1
-        prev, cur = cur, prev + cur
+        elif distance > best_distance:
+            # |target - phi| <= distance + |ratio - phi|, so only a candidate
+            # farther than the best can pass the stop test
+            # |target - phi| - |ratio - phi| - best_distance > 0.
+            # Cassini's identity F(n+1)F(n-1) - F(n)^2 = (-1)^n puts phi between
+            # consecutive convergents, and F(2)/F(1) = 1 lies below it, so
+            # |ratio - phi| = above * (ratio - phi) with above = +1 for odd n
+            # and -1 for even n.  The test is then rest + (above - side) * phi > 0
+            # with a rational rest, and (above - side) * phi = h + h*sqrt5 for
+            # h = (above - side) / 2.
+            above = 1 if candidate.n % 2 else -1
+            h = (above - side) // 2
+            rest = side * target - above * candidate.ratio - best_distance
+            if sign(QuadExt(rest + h, 0, h)) > 0:
+                return best

@@ -1,0 +1,28 @@
+"""The benchmark's tracer still finds the kernel: it wraps `QuadExt.__mul__`
+and `QuadExt.inverse` by name and reads the coefficients of each product."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_verify_records_kernel_spans(tmp_path):
+    spans_path = tmp_path / "spans.tsv"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, str(ROOT / "bench" / "worker.py"), "--trace", str(spans_path),
+               "--op", "0", "--", "verify", "--side", "3/7"]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "PHI-EXACT: PASS" in done.stdout
+    # op, span id, parent id, name, start ns, end ns, largest coefficient bits
+    spans = [line.split("\t") for line in spans_path.read_text().splitlines()]
+    calls = Counter(span[3] for span in spans)
+    assert calls["exact.mul"] > 0
+    assert calls["exact.inverse"] > 0
+    assert max(int(span[6]) for span in spans if span[3] == "exact.mul") > 0

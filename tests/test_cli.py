@@ -6,6 +6,8 @@ import pytest
 
 import hexphi.cli as cli
 from hexphi.cli import main
+from hexphi.exact import HALF_EVEN, TRUNCATE
+from hexphi.fibonacci import convergent
 
 GOLDEN = Path(__file__).parent / "data" / "cluster_default.svg"
 
@@ -181,6 +183,33 @@ def test_fib_json(capsys):
     }
 
 
+def _fib_row(n: int, digits: int, rounding: str) -> dict:
+    row = convergent(n)
+    return {
+        "n": n,
+        "fn": row.fn,
+        "fn_1": row.fn_1,
+        "ratio": row.ratio_decimal(digits, rounding),
+        "variance": row.variance_decimal(digits, rounding),
+    }
+
+
+@pytest.mark.parametrize("max_n, digits, rounding", [(300, 10, TRUNCATE), (120, 45, HALF_EVEN)])
+def test_fib_table_matches_convergent_per_row(capsys, max_n, digits, rounding):
+    rows = [_fib_row(n, digits, rounding) for n in range(2, max_n + 1)]
+    flags = ["--max", str(max_n), "--digits", str(digits), "--rounding", rounding]
+    code, out, err = run(capsys, "fib", *flags)
+    assert (code, err) == (0, "")
+    expected = [f"# digits = {digits}", f"# rounding = {rounding}", "n\tF_n\tF_n-1\tratio\tvariance"]
+    expected += ["\t".join(str(row[key]) for key in ("n", "fn", "fn_1", "ratio", "variance"))
+                 for row in rows]
+    assert out == "\n".join(expected) + "\n"
+    code, out, err = run(capsys, "fib", *flags, "--json")
+    assert (code, err) == (0, "")
+    payload = {"digits": digits, "rounding": rounding, "decimal_separator": ".", "rows": rows}
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_fib_max_must_be_at_least_two(capsys):
     assert run(capsys, "fib", "--max", "1")[0] == 2
 
@@ -212,6 +241,20 @@ def test_assess_exact_convergent(capsys):
 @pytest.mark.parametrize("ratio", ["0", "-1.618", "phi"])
 def test_assess_rejects_bad_targets(capsys, ratio):
     assert run(capsys, "assess", "--ratio", ratio)[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("assess", "--ratio", "1e-5000"),
+    ("verify", "--side", "1e-5000"),
+    ("assess", "--ratio", "1e999999999"),
+    ("verify", "--side", "1" * 4301 + "/7"),
+])
+def test_oversized_rational_literal_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "may have at most 4300 digits" in err
+    assert "Exceeds the limit" not in err
 
 
 def test_render_writes_golden_bytes(capsys, tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import float_oracle
+import hexphi.construction as construction
 from hexphi.construction import (
     Cluster,
     PhiSegment,
@@ -14,7 +15,8 @@ from hexphi.construction import (
     make_report,
     verify_phi,
 )
-from hexphi.exact import PHI, QuadExt, sign, to_decimal
+from hexphi.exact import MAX_DIGITS, PHI, QuadExt, sign, to_decimal
+from hexphi.fibonacci import convergent
 from hexphi.geometry import (
     Circle,
     Point,
@@ -249,3 +251,18 @@ def test_closed_form_lengths_against_oracle():
         assert ao == pytest.approx(math.sqrt(3), abs=1e-12)
         assert ab == pytest.approx((math.sqrt(3) + math.sqrt(15)) / 2, abs=1e-12)
     assert to_decimal(PHI * PHI * 3, 10) == to_decimal(AB2, 10)
+
+
+def test_report_at_the_digit_limit_hands_the_ratio_over_exactly(monkeypatch):
+    # a 4300-digit ratio has a 4301-digit numerator, which parse_rational
+    # rejects from users; the search itself is covered in test_fraction_oracle
+    seen = []
+
+    def nearest(target):
+        seen.append(target)
+        return convergent(2)
+
+    monkeypatch.setattr(construction, "assess_nearest", nearest)
+    report = make_report(build_cluster(ORIGIN_VERTEX), frac_digits=MAX_DIGITS)
+    assert report.ratio_decimal == to_decimal(PHI, MAX_DIGITS)
+    assert seen == [Fraction(report.ratio_decimal)]

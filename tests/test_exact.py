@@ -342,6 +342,16 @@ def test_parse_rational_rejects_garbage():
             parse_rational(bad)
 
 
+def test_parse_rational_bounds_numerator_and_denominator_digits():
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("1e-4299") == Fraction(1, 10**4299)
+    assert parse_rational("2" * 4300 + "/" + "3" * 4300) == Fraction(int("2" * 4300), int("3" * 4300))
+    for big in ("1e4300", "1e-4300", "1e999999999", "1e-999999999", "0." + "0" * 4300 + "1",
+                "1" * 4301, "1/" + "3" * 4301, "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="at most 4300 digits"):
+            parse_rational(big)
+
+
 def test_as_quadext_rejects_floats():
     with pytest.raises(TypeError):
         as_quadext(1.5)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hexphi.exact import HALF_EVEN, PHI, TRUNCATE, QuadExt, sign
-from hexphi.fibonacci import Convergent, assess_nearest, convergent, fib, variance
+from hexphi.fibonacci import Convergent, assess_nearest, convergent, convergents, fib, variance
 
 
 def test_fib_base_and_known_values():
@@ -35,6 +35,10 @@ def test_convergent_examples():
     assert (eleventh.fn, eleventh.fn_1) == (89, 55)
     assert eleventh.ratio == Fraction(89, 55)
     assert convergent(12).ratio == Fraction(144, 89)
+
+
+def test_convergents_run_through_convergent():
+    assert list(zip(range(2, 301), convergents())) == [(n, convergent(n)) for n in range(2, 301)]
 
 
 def test_convergent_rejects_n_below_two():

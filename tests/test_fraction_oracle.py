@@ -1,0 +1,126 @@
+"""The integer kernel of `hexphi.exact` against the `Fraction` kernel it
+replaced (`fraction_oracle`), coefficient by coefficient, and
+`assess_nearest` against the search loop written for that kernel."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle
+from hexphi.exact import PHI, QuadExt, as_quadext, sign, to_decimal
+from hexphi.fibonacci import assess_nearest
+
+
+@st.composite
+def coefficients(draw) -> Fraction:
+    """Zero about one time in six; otherwise numerator and denominator of 1 to 200 bits."""
+    if draw(st.integers(0, 5)) == 0:
+        return Fraction(0)
+    bits = draw(st.integers(1, 200))
+    return Fraction(draw(st.integers(-(1 << bits), 1 << bits)), draw(st.integers(1, 1 << bits)))
+
+
+QUADRUPLES = st.tuples(coefficients(), coefficients(), coefficients(), coefficients())
+RATIONALS = st.one_of(st.integers(-(1 << 100), 1 << 100), coefficients())
+
+
+def _coeffs(x) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    return (x.a, x.b, x.c, x.d)
+
+
+def _pair(quadruple) -> tuple[QuadExt, fraction_oracle.QuadExt]:
+    return QuadExt(*quadruple), fraction_oracle.QuadExt(*quadruple)
+
+
+@settings(max_examples=150)
+@given(QUADRUPLES, QUADRUPLES)
+def test_field_operations_match_fraction_kernel(p, q):
+    x, x_old = _pair(p)
+    y, y_old = _pair(q)
+    assert _coeffs(x) == _coeffs(x_old)
+    assert _coeffs(x + y) == _coeffs(x_old + y_old)
+    assert _coeffs(x - y) == _coeffs(x_old - y_old)
+    assert _coeffs(x * y) == _coeffs(x_old * y_old)
+    assert _coeffs(-x) == _coeffs(-x_old)
+    assert (x == y) == (x_old == y_old)
+    if not y.is_zero:
+        assert _coeffs(x / y) == _coeffs(x_old / y_old)
+        assert _coeffs(y.inverse()) == _coeffs(y_old.inverse())
+    assert sign(x - y) == fraction_oracle.sign(x_old - y_old)
+
+
+@settings(max_examples=60)
+@given(QUADRUPLES, st.integers(-3, 5))
+def test_powers_match_fraction_kernel(p, exponent):
+    x, x_old = _pair(p)
+    if exponent < 0 and x.is_zero:
+        return
+    assert _coeffs(x**exponent) == _coeffs(x_old**exponent)
+
+
+@settings(max_examples=100)
+@given(QUADRUPLES, RATIONALS)
+def test_mixed_rational_operands_match_fraction_kernel(p, r):
+    x, x_old = _pair(p)
+    assert _coeffs(x + r) == _coeffs(x_old + r)
+    assert _coeffs(r + x) == _coeffs(r + x_old)
+    assert _coeffs(r - x) == _coeffs(r - x_old)
+    assert _coeffs(r * x) == _coeffs(r * x_old)
+    if not x.is_zero:
+        assert _coeffs(r / x) == _coeffs(r / x_old)
+    if r:
+        assert _coeffs(x / r) == _coeffs(x_old / r)
+    assert (x == r) == (x_old == r)
+    assert QuadExt(r) == r
+
+
+@settings(max_examples=100)
+@given(QUADRUPLES)
+def test_rendering_matches_fraction_kernel(p):
+    x, x_old = _pair(p)
+    assert repr(x) == repr(x_old)
+    assert str(x) == str(x_old)
+    assert x.to_json() == x_old.to_json()
+    assert to_decimal(x, 30) == fraction_oracle.to_decimal(x_old, 30)
+
+
+@given(coefficients())
+def test_hash_of_rational_element_is_hash_of_rational(q):
+    assert hash(QuadExt(q)) == hash(q)
+    assert hash(as_quadext(q)) == hash(q)
+    assert hash(QuadExt(q.numerator)) == hash(q.numerator)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuadExt(1, 2, 3, 0.25),
+    lambda: QuadExt(1, 2) + 0.5,
+    lambda: 0.5 * QuadExt(1, 2),
+])
+def test_float_input_is_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def _phi_prefixes():
+    for digits in [*range(1, 41), 80, 160, 240, 320, 400]:
+        prefix = to_decimal(PHI, digits)
+        yield prefix
+        yield prefix[:-1] + str((int(prefix[-1]) + 1) % 10)
+
+
+def test_assess_nearest_matches_old_loop_on_phi_prefixes():
+    for prefix in _phi_prefixes():
+        assert assess_nearest(prefix) == fraction_oracle.assess_nearest(prefix), prefix
+
+
+def test_assess_nearest_matches_old_loop_on_random_rationals():
+    rng = random.Random(20240611)
+    for _ in range(300):
+        bits = rng.randint(1, 64)
+        target = Fraction(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits))
+        assert assess_nearest(target) == fraction_oracle.assess_nearest(target), target
