@@ -25,6 +25,9 @@ from .tessellation import HexIndex, VertexRef, enumerate_vertices
 # decimals always print with "."; parse_rational additionally accepts ","
 DECIMAL_SEPARATOR = "."
 
+# the largest n with F(n) < 10**MAX_DIGITS, so every fib row prints in full
+MAX_FIB_INDEX = 20577
+
 
 def _vertex_arg(text: str) -> VertexRef:
     try:
@@ -162,12 +165,19 @@ def _cmd_fib(args: argparse.Namespace) -> int:
 def _cmd_assess(args: argparse.Namespace) -> int:
     nearest = assess_nearest(args.ratio)
     distance = abs(nearest.ratio - args.ratio)
-    print(f"target = {format_fraction(args.ratio)}")
-    print(f"n = {nearest.n}")
-    print(f"ratio = {format_fraction(nearest.ratio)}")
-    print(f"ratio_decimal = {nearest.ratio_decimal(10, TRUNCATE)}")
-    print(f"distance = {format_fraction(distance)}")
-    print(f"variance = {nearest.variance_decimal(10, TRUNCATE)}")
+    if max(distance.numerator, distance.denominator) >= 10**MAX_DIGITS:
+        raise ValueError(
+            f"distance out of range: its numerator or denominator has over {MAX_DIGITS} digits"
+        )
+    lines = [
+        f"target = {format_fraction(args.ratio)}",
+        f"n = {nearest.n}",
+        f"ratio = {format_fraction(nearest.ratio)}",
+        f"ratio_decimal = {nearest.ratio_decimal(10, TRUNCATE)}",
+        f"distance = {format_fraction(distance)}",
+        f"variance = {nearest.variance_decimal(10, TRUNCATE)}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -223,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(handler=_cmd_scan)
 
     fib = subparsers.add_parser("fib", help="Fibonacci convergent table with variances")
-    fib.add_argument("--max", type=_int_at_least(2), required=True, metavar="N")
+    fib.add_argument("--max", type=_int_at_least(2, MAX_FIB_INDEX), required=True, metavar="N")
     fib.add_argument("--digits", type=_int_at_least(1, MAX_DIGITS), default=10, metavar="D")
     fib.add_argument("--rounding", choices=(TRUNCATE, HALF_EVEN), default=TRUNCATE)
     fib.add_argument("--json", action="store_true")

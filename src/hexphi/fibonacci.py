@@ -5,10 +5,19 @@ Indexing starts at F(1) = F(2) = 1, so the n-th convergent is
 absolute distance to the golden ratio, an element of the field; rendering to
 a decimal is the only approximate-looking step and even that is correctly
 rounded.
+
+The nearest convergent to a target t is found by bracketing.  Cassini's
+identity F(n+1)F(n-1) - F(n)^2 = (-1)^n puts phi between consecutive
+convergents, so those with odd n lie above phi and fall toward it, and those
+with even n lie below and rise toward it.  A convergent on the far side of
+phi from t is more than |t - phi| away, while some near-side convergent lies
+between phi and t and so comes closer.  The answer is therefore one of the
+two consecutive near-side convergents that bracket t.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +29,7 @@ def fib(n: int) -> int:
     """F(n) with F(1) = F(2) = 1."""
     if n < 1:
         raise ValueError("Fibonacci index starts at 1")
-    prev, cur = 1, 1
-    for _ in range(n - 2):
-        prev, cur = cur, prev + cur
-    return cur if n > 1 else 1
+    return convergent(n + 1).fn_1
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class Convergent:
 def convergent(n: int) -> Convergent:
     if n < 2:
         raise ValueError("convergents start at n = 2")
-    return Convergent(n, fib(n), fib(n - 1))
+    return next(itertools.islice(convergents(), n - 2, None))
 
 
 def convergents() -> Iterator[Convergent]:
@@ -70,34 +76,23 @@ def assess_nearest(value: str | Fraction | int) -> Convergent:
     """The convergent whose ratio is closest to `value`; ties pick smaller n.
 
     `value` may be a rational string ("p/q" or a decimal with either
-    separator) or an exact rational.  The search stops once every later
-    convergent provably loses: convergent distances to phi shrink toward
-    zero, so later candidates sit at least |value - phi| - variance(n) away,
-    and that bound eventually exceeds the best distance found.
+    separator) or an exact rational.  One field sign tells the target's side
+    of phi; the search walks that side's convergents up to the first one
+    between phi and the target and returns it or the one before it,
+    whichever is closer by cross-multiplied ints (see the module docstring).
     """
     target = parse_rational(value) if isinstance(value, str) else Fraction(value)
     if target <= 0:
         raise ValueError("ratio must be positive")
-    # |target - phi| = side * (target - phi); phi is irrational, so side != 0
-    side = sign(QuadExt(target) - PHI)
-    best: Convergent | None = None
-    best_distance: Fraction | None = None
-    for candidate in convergents():
-        distance = abs(candidate.ratio - target)
-        if best_distance is None or distance < best_distance:
-            best, best_distance = candidate, distance
-        elif distance > best_distance:
-            # |target - phi| <= distance + |ratio - phi|, so only a candidate
-            # farther than the best can pass the stop test
-            # |target - phi| - |ratio - phi| - best_distance > 0.
-            # Cassini's identity F(n+1)F(n-1) - F(n)^2 = (-1)^n puts phi between
-            # consecutive convergents, and F(2)/F(1) = 1 lies below it, so
-            # |ratio - phi| = above * (ratio - phi) with above = +1 for odd n
-            # and -1 for even n.  The test is then rest + (above - side) * phi > 0
-            # with a rational rest, and (above - side) * phi = h + h*sqrt5 for
-            # h = (above - side) / 2.
-            above = 1 if candidate.n % 2 else -1
-            h = (above - side) // 2
-            rest = side * target - above * candidate.ratio - best_distance
-            if sign(QuadExt(rest + h, 0, h)) > 0:
-                return best
+    p, q = target.numerator, target.denominator
+    side = sign(QuadExt(target) - PHI)  # phi is irrational, so side != 0
+    before = None
+    for candidate in itertools.islice(convergents(), (1 + side) // 2, None, 2):
+        # gap has the sign of ratio - target, over the positive fn_1 * q
+        gap = candidate.fn * q - p * candidate.fn_1
+        if side * gap < 0:
+            break
+        before, before_gap = candidate, gap
+    if before is not None and side * before_gap * candidate.fn_1 <= -side * gap * before.fn_1:
+        return before
+    return candidate

@@ -42,15 +42,14 @@ class HexIndex:
         return f"{self.q},{self.r}"
 
 
-def _canonical_triple(q: int, r: int, corner: int) -> tuple[int, int, int]:
-    n1 = NEIGHBOR_STEPS[(corner - 1) % 6]
-    n2 = NEIGHBOR_STEPS[corner % 6]
-    aliases = (
+def _names(q: int, r: int, corner: int) -> tuple[tuple[int, int, int], ...]:
+    """The three ``(q, r, corner)`` names of one vertex, this one first."""
+    (q1, r1), (q2, r2) = NEIGHBOR_STEPS[(corner - 1) % 6], NEIGHBOR_STEPS[corner]
+    return (
         (q, r, corner),
-        (q + n1[0], r + n1[1], (corner + 2) % 6),
-        (q + n2[0], r + n2[1], (corner + 4) % 6),
+        (q + q1, r + r1, (corner + 2) % 6),
+        (q + q2, r + r2, (corner + 4) % 6),
     )
-    return min(aliases)
 
 
 @dataclass(frozen=True, order=True)
@@ -68,7 +67,7 @@ class VertexRef:
     def __post_init__(self) -> None:
         if not isinstance(self.corner, int) or not 0 <= self.corner <= 5:
             raise ValueError("corner must be an integer in 0..5")
-        q, r, corner = _canonical_triple(self.hex.q, self.hex.r, self.corner)
+        q, r, corner = min(_names(self.hex.q, self.hex.r, self.corner))
         object.__setattr__(self, "hex", HexIndex(q, r))
         object.__setattr__(self, "corner", corner)
 
@@ -95,35 +94,29 @@ def hex_center(hexagon: HexIndex, side: int | Fraction = 1) -> Point:
     return Point(x, y)
 
 
+def _corner(center: Point, side: Fraction, k: int) -> Point:
+    x, y = side * _CORNER_COS[k], side * _CORNER_SIN_SQRT3[k]
+    return Point(center.x + QuadExt(x), center.y + QuadExt(0, y))
+
+
 def hex_corners(hexagon: HexIndex, side: int | Fraction = 1) -> list[Point]:
     """The six corner points, corner 0 first."""
     side = positive_rational("side", side)
     center = hex_center(hexagon, side)
-    return [
-        Point(center.x + QuadExt(side * _CORNER_COS[k]), center.y + QuadExt(0, side * _CORNER_SIN_SQRT3[k]))
-        for k in range(6)
-    ]
+    return [_corner(center, side, k) for k in range(6)]
 
 
 def vertex_point(vertex: VertexRef, side: int | Fraction = 1) -> Point:
     side = positive_rational("side", side)
-    center = hex_center(vertex.hex, side)
-    k = vertex.corner
-    return Point(
-        center.x + QuadExt(side * _CORNER_COS[k]),
-        center.y + QuadExt(0, side * _CORNER_SIN_SQRT3[k]),
-    )
+    return _corner(hex_center(vertex.hex, side), side, vertex.corner)
 
 
 def incident_hexagons(vertex: VertexRef) -> tuple[HexIndex, HexIndex, HexIndex]:
     """The three hexagons sharing the vertex, sorted by (q, r)."""
-    q, r, corner = vertex.hex.q, vertex.hex.r, vertex.corner
-    n1 = NEIGHBOR_STEPS[(corner - 1) % 6]
-    n2 = NEIGHBOR_STEPS[corner % 6]
-    hexes = sorted(
-        (HexIndex(q, r), HexIndex(q + n1[0], r + n1[1]), HexIndex(q + n2[0], r + n2[1]))
+    first, second, third = sorted(
+        HexIndex(q, r) for q, r, _ in _names(vertex.hex.q, vertex.hex.r, vertex.corner)
     )
-    return (hexes[0], hexes[1], hexes[2])
+    return (first, second, third)
 
 
 def enumerate_vertices(patch_radius: int) -> list[VertexRef]:

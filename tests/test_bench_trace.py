@@ -1,5 +1,6 @@
 """The benchmark's tracer still finds the kernel: it wraps `QuadExt.__mul__`
-and `QuadExt.inverse` by name and reads the coefficients of each product."""
+and `QuadExt.inverse` by name and reads the coefficients of each product, and
+it wraps `fibonacci.assess_nearest`, which every passing verify calls once."""
 
 from __future__ import annotations
 
@@ -25,4 +26,5 @@ def test_traced_verify_records_kernel_spans(tmp_path):
     calls = Counter(span[3] for span in spans)
     assert calls["exact.mul"] > 0
     assert calls["exact.inverse"] > 0
+    assert calls["fibonacci.assess_nearest"] == 1
     assert max(int(span[6]) for span in spans if span[3] == "exact.mul") > 0

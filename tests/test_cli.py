@@ -6,8 +6,8 @@ import pytest
 
 import hexphi.cli as cli
 from hexphi.cli import main
-from hexphi.exact import HALF_EVEN, TRUNCATE
-from hexphi.fibonacci import convergent
+from hexphi.exact import HALF_EVEN, MAX_DIGITS, PHI, TRUNCATE, to_decimal
+from hexphi.fibonacci import convergent, fib
 
 GOLDEN = Path(__file__).parent / "data" / "cluster_default.svg"
 
@@ -214,6 +214,18 @@ def test_fib_max_must_be_at_least_two(capsys):
     assert run(capsys, "fib", "--max", "1")[0] == 2
 
 
+def test_max_fib_index_is_last_row_that_prints():
+    assert fib(cli.MAX_FIB_INDEX) < 10**MAX_DIGITS <= fib(cli.MAX_FIB_INDEX + 1)
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_fib_max_above_limit_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "fib", "--max", "20578", *extra)
+    assert code == 2
+    assert out == ""
+    assert "expected an integer from 2 to 20577" in err
+
+
 def test_assess_decimal(capsys):
     code, out, _ = run(capsys, "assess", "--ratio", "1.618")
     assert code == 0
@@ -241,6 +253,17 @@ def test_assess_exact_convergent(capsys):
 @pytest.mark.parametrize("ratio", ["0", "-1.618", "phi"])
 def test_assess_rejects_bad_targets(capsys, ratio):
     assert run(capsys, "assess", "--ratio", ratio)[0] == 2
+
+
+def test_assess_oversized_distance_is_usage_error(capsys):
+    # the target fits the literal bound, but its distance to the nearest
+    # convergent has a denominator of about 4,500 digits
+    code, out, err = run(capsys, "assess", "--ratio", to_decimal(PHI, 3000))
+    assert code == 2
+    assert out == ""
+    assert "distance out of range" in err
+    assert "has over 4300 digits" in err
+    assert "Exceeds the limit" not in err
 
 
 @pytest.mark.parametrize("argv", [

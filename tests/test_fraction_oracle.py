@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fraction_oracle
 from hexphi.exact import PHI, QuadExt, as_quadext, sign, to_decimal
-from hexphi.fibonacci import assess_nearest
+from hexphi.fibonacci import assess_nearest, fib
 
 
 @st.composite
@@ -118,9 +118,23 @@ def test_assess_nearest_matches_old_loop_on_phi_prefixes():
         assert assess_nearest(prefix) == fraction_oracle.assess_nearest(prefix), prefix
 
 
+def _chosen_rationals():
+    """Exact convergents, midpoints of same-side pairs (ties) and those
+    midpoints moved by 10**-30 either way, and targets far from phi."""
+    ratios = [Fraction(fib(n), fib(n - 1)) for n in range(2, 64)]
+    yield from ratios
+    shift = Fraction(1, 10**30)
+    for low, high in zip(ratios, ratios[2:]):
+        middle = (low + high) / 2
+        yield from (middle, middle - shift, middle + shift)
+    yield from (Fraction(1), Fraction(2), Fraction(1000), Fraction(1, 1000))
+
+
 def test_assess_nearest_matches_old_loop_on_random_rationals():
     rng = random.Random(20240611)
     for _ in range(300):
         bits = rng.randint(1, 64)
         target = Fraction(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits))
+        assert assess_nearest(target) == fraction_oracle.assess_nearest(target), target
+    for target in _chosen_rationals():
         assert assess_nearest(target) == fraction_oracle.assess_nearest(target), target
