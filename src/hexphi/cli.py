@@ -10,6 +10,7 @@ figure).  Exit codes: 0 success or verified, 1 verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
@@ -27,6 +28,9 @@ DECIMAL_SEPARATOR = "."
 
 # the largest n with F(n) < 10**MAX_DIGITS, so every fib row prints in full
 MAX_FIB_INDEX = 20577
+
+# the largest patch a scan takes: 6 * (MAX_SCAN_RADIUS + 1)**2 = 61,206 vertices
+MAX_SCAN_RADIUS = 100
 
 
 def _vertex_arg(text: str) -> VertexRef:
@@ -46,7 +50,7 @@ def _positive_rational_arg(text: str) -> Fraction:
     return value
 
 
-def _int_at_least(minimum: int, maximum: int | None = None):
+def _int_at_least(minimum: int, maximum: int):
     def parse(text: str) -> int:
         try:
             value = int(text, 10)
@@ -54,7 +58,7 @@ def _int_at_least(minimum: int, maximum: int | None = None):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
         if value < minimum:
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
-        if maximum is not None and value > maximum:
+        if value > maximum:
             raise argparse.ArgumentTypeError(
                 f"expected an integer from {minimum} to {maximum}, got {text!r}"
             )
@@ -227,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     scan = subparsers.add_parser("scan", help="check every vertex of a hexagonal patch")
-    scan.add_argument("--radius", type=_int_at_least(0), required=True, metavar="N")
+    scan.add_argument(
+        "--radius", type=_int_at_least(0, MAX_SCAN_RADIUS), required=True, metavar="N"
+    )
     add_side(scan)
     scan.add_argument("--json", action="store_true")
     scan.set_defaults(handler=_cmd_scan)
@@ -252,6 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on the first call to `main` and not on import.
+# Reuse cannot carry anything from one call into the next: `parse_args` only
+# reads the parser's actions and defaults and writes into a fresh Namespace,
+# every default is immutable (a frozen VertexRef, Fraction(1), ints, strs and
+# bools), `prog` is explicit, and help and usage look up sys.stdout,
+# sys.stderr and the terminal width when they print.  The handlers look up
+# `make_report` and the rest through this module's globals at call time.
+_parser = functools.cache(build_parser)
+
+
 def _join_negative_vertex(argv: list[str]) -> list[str]:
     """Rewrite ``--vertex -1,0,3`` as ``--vertex=-1,0,3``, abbreviations too.
 
@@ -269,9 +285,8 @@ def _join_negative_vertex(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_negative_vertex(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_join_negative_vertex(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -377,32 +377,31 @@ def sign(value: QuadExt | int | Fraction) -> int:
     return sp * _sign_sqrt3(a * a + 3 * b * b - 5 * c * c - 15 * d * d, 2 * (a * b - 5 * c * d))
 
 
-def _rational_sqrt(value: Fraction) -> Fraction | None:
-    num = math.isqrt(value.numerator)
-    if num * num != value.numerator:
-        return None
-    den = math.isqrt(value.denominator)
-    if den * den != value.denominator:
-        return None
-    return Fraction(num, den)
-
-
 def sqrt_exact(radicand: int | Fraction) -> QuadExt:
     """Exact square root of a nonnegative rational, if it lies in the field.
 
     The representable radicands are exactly ``s**2``, ``3*s**2``, ``5*s**2``
     and ``15*s**2`` for rational ``s``; anything else raises
     ``NotRepresentable``.  Negative input raises ``NegativeInput``.
+
+    For ``n/d`` in lowest terms, ``sqrt(n/d) = sqrt(n*d) / d``, and the root
+    lies in the field exactly when ``n*d = k * s**2`` for an integer s and
+    one of ``k = 1, 3, 5, 15``; the root is then ``s*sqrt(k) / d``.  That is
+    one product and at most four integer square roots.
     """
     r = _fraction(radicand)
     if r < 0:
         raise NegativeInput("square root of a negative rational")
-    if r == 0:
-        return ZERO
-    for divisor, unit in ((1, ONE), (3, SQRT3), (5, SQRT5), (15, SQRT15)):
-        root = _rational_sqrt(r / divisor)
-        if root is not None:
-            return unit * root
+    d = r.denominator
+    nd = r.numerator * d
+    for position, k in enumerate((1, 3, 5, 15)):
+        quotient, rest = divmod(nd, k)
+        if not rest:
+            s = math.isqrt(quotient)
+            if s * s == quotient:
+                num = [0, 0, 0, 0]
+                num[position] = s  # the coefficient of sqrt(k)
+                return _reduced(*num, d)
     raise NotRepresentable(f"sqrt({r}) lies outside the field")
 
 

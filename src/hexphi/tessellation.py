@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadExt, positive_rational
+from .exact import MAX_DIGITS, QuadExt, positive_rational
 from .geometry import Point
 
 #: Axial steps to the six neighbors, listed by azimuth 30 + 60*i degrees.
@@ -73,10 +73,16 @@ class VertexRef:
 
     @classmethod
     def from_string(cls, text: str) -> VertexRef:
-        """Parse ``q,r,corner`` (canonical or not)."""
+        """Parse ``q,r,corner`` (canonical or not).
+
+        A component of more than `MAX_DIGITS` digits raises ``ValueError``
+        before any int is built, with a message that does not repeat it.
+        """
         parts = text.strip().split(",")
         if len(parts) != 3:
             raise ValueError(f"expected 'q,r,corner', got {text!r}")
+        if max(sum(map(str.isdigit, part)) for part in parts) > MAX_DIGITS:
+            raise ValueError(f"vertex components may have at most {MAX_DIGITS} digits each")
         try:
             q, r, corner = (int(part) for part in parts)
         except ValueError:

@@ -8,7 +8,9 @@ operation is plain rational arithmetic coefficient by coefficient, and
 `hexphi.exact` stores four ints over one shared denominator instead; the
 tests compare the two on random elements.  `assess_nearest` is the
 nearest-convergent search as it was written against this kernel: three field
-subtractions and an ``abs`` per step.
+subtractions and an ``abs`` per step.  `sqrt_exact` is the square-root search
+of that kernel: a ``Fraction`` division and rational square root for each of
+the radicands 1, 3, 5 and 15.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from hexphi.exact import HALF_EVEN, TRUNCATE, format_fraction, parse_rational
+from hexphi.exact import (
+    HALF_EVEN,
+    TRUNCATE,
+    NegativeInput,
+    NotRepresentable,
+    format_fraction,
+    parse_rational,
+)
 from hexphi.fibonacci import Convergent
 
 _ROUNDING_MODES = (HALF_EVEN, TRUNCATE)
@@ -296,6 +305,35 @@ def sign(value: QuadExt | int | Fraction) -> int:
     if not sp:
         return sq
     return sp * _sign_sqrt3(a * a + 3 * b * b - 5 * c * c - 15 * d * d, 2 * (a * b - 5 * c * d))
+
+
+def _rational_sqrt(value: Fraction) -> Fraction | None:
+    num = math.isqrt(value.numerator)
+    if num * num != value.numerator:
+        return None
+    den = math.isqrt(value.denominator)
+    if den * den != value.denominator:
+        return None
+    return Fraction(num, den)
+
+
+def sqrt_exact(radicand: int | Fraction) -> QuadExt:
+    """Exact square root of a nonnegative rational, if it lies in the field.
+
+    The representable radicands are exactly ``s**2``, ``3*s**2``, ``5*s**2``
+    and ``15*s**2`` for rational ``s``; anything else raises
+    ``NotRepresentable``.  Negative input raises ``NegativeInput``.
+    """
+    r = _fraction(radicand)
+    if r < 0:
+        raise NegativeInput("square root of a negative rational")
+    if r == 0:
+        return ZERO
+    for divisor, unit in ((1, ONE), (3, SQRT3), (5, SQRT5), (15, SQRT15)):
+        root = _rational_sqrt(r / divisor)
+        if root is not None:
+            return unit * root
+    raise NotRepresentable(f"sqrt({r}) lies outside the field")
 
 
 def _rounded(scaled: Fraction, rounding: str) -> int:

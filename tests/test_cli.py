@@ -1,5 +1,9 @@
+import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,8 @@ from hexphi.cli import main
 from hexphi.exact import HALF_EVEN, MAX_DIGITS, PHI, TRUNCATE, to_decimal
 from hexphi.fibonacci import convergent, fib
 
-GOLDEN = Path(__file__).parent / "data" / "cluster_default.svg"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "cluster_default.svg"
 
 
 def run(capsys, *argv):
@@ -75,6 +80,16 @@ def test_missing_subcommand_and_unknown_flag(capsys):
     assert run(capsys, "verify", "--frobnicate")[0] == 2
     assert run(capsys, "scan")[0] == 2  # --radius is required
     assert run(capsys, "--help")[0] == 0
+
+
+def test_oversized_vertex_component_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--vertex=" + "1" * 5000 + ",0,0")
+    assert (code, out) == (2, "")
+    assert "vertex components may have at most 4300 digits each" in err
+    assert "1" * 100 not in err  # the literal is not echoed
+    largest = "9" * MAX_DIGITS
+    args = cli.build_parser().parse_args(["verify", f"--vertex={largest},-{largest},0"])
+    assert str(args.vertex) == f"{largest},-{largest},0"
 
 
 def test_verify_json_schema(capsys):
@@ -147,6 +162,19 @@ def test_scan_reports_failures(capsys, monkeypatch):
     assert code == 1
     assert "failures = 6" in out
     assert "SCAN: FAIL" in out
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_scan_radius_above_limit_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "scan", "--radius", "101", *extra)
+    assert (code, out) == (2, "")
+    assert "expected an integer from 0 to 100, got '101'" in err
+
+
+def test_scan_radius_limit_is_accepted():
+    # parsed only: that patch has 61,206 vertices
+    args = cli.build_parser().parse_args(["scan", "--radius", str(cli.MAX_SCAN_RADIUS)])
+    assert args.radius == cli.MAX_SCAN_RADIUS == 100
 
 
 def test_fib_table(capsys):
@@ -306,3 +334,49 @@ def test_stdout_is_deterministic(capsys):
     second = run(capsys, "verify", "--json")[1]
     assert first == second
     assert run(capsys, "fib", "--max", "30")[1] == run(capsys, "fib", "--max", "30")[1]
+
+
+def _mixed_session(out_file: Path) -> list[tuple[str, ...]]:
+    return [
+        ("verify",),
+        ("verify", "--json", "--digits", "30", "--vertex=-1,0,3", "--side", "3/2"),
+        ("scan", "--radius", "1"),
+        ("fib", "--max", "12", "--rounding", "half-even", "--json"),
+        ("assess", "--ratio", "1.618"),
+        ("render", "--out", str(out_file)),
+        ("verify", "--frobnicate"),
+        ("verify", "--side", "0"),
+        ("--help",),
+    ]
+
+
+def test_results_do_not_depend_on_earlier_calls(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap to the terminal width
+    argvs = _mixed_session(tmp_path / "figure.svg")
+    forwards = [run(capsys, *argv) for argv in argvs]
+    backwards = [run(capsys, *argv) for argv in reversed(argvs)]
+    assert forwards == backwards[::-1]
+    assert [result[0] for result in forwards] == [0, 0, 0, 0, 0, 0, 2, 2, 0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for index in (1, 6):
+        fresh = subprocess.run([sys.executable, "-m", "hexphi.cli", *argvs[index]], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == forwards[index]
+
+
+def test_parser_is_built_on_the_first_call_only(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    run(capsys, "verify")
+    assert built  # the parser and its subparsers
+    built.clear()
+    for argv in (("verify",), ("fib", "--max", "5"), ("scan", "--radius", "101"), ("--help",)):
+        run(capsys, *argv)
+    assert built == []

@@ -1,6 +1,7 @@
 """The integer kernel of `hexphi.exact` against the `Fraction` kernel it
 replaced (`fraction_oracle`), coefficient by coefficient, and
-`assess_nearest` against the search loop written for that kernel."""
+`assess_nearest` and `sqrt_exact` against the searches written for that
+kernel."""
 
 from __future__ import annotations
 
@@ -12,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle
-from hexphi.exact import PHI, QuadExt, as_quadext, sign, to_decimal
+from hexphi.exact import (
+    PHI,
+    NegativeInput,
+    NotRepresentable,
+    QuadExt,
+    as_quadext,
+    sign,
+    sqrt_exact,
+    to_decimal,
+)
 from hexphi.fibonacci import assess_nearest, fib
 
 
@@ -89,6 +99,34 @@ def test_rendering_matches_fraction_kernel(p):
     assert to_decimal(x, 30) == fraction_oracle.to_decimal(x_old, 30)
 
 
+@st.composite
+def radicands(draw) -> int | Fraction:
+    """``base * (s/j)**2`` of either sign, for a base whose root lies in the
+    field (1, 3, 5, 15) or does not (2, 6, 7/3, 10); an int about half the
+    time it is one."""
+    base = draw(st.sampled_from((1, 3, 5, 15, 2, 6, Fraction(7, 3), 10)))
+    s = draw(st.one_of(st.just(0), st.integers(1, 1 << 100)))
+    j = draw(st.one_of(st.just(1), st.integers(1, 1 << 100)))
+    value = draw(st.sampled_from((1, -1))) * base * Fraction(s, j) ** 2
+    if value.denominator == 1 and draw(st.booleans()):
+        return value.numerator
+    return value
+
+
+def _root_or_error(sqrt, radicand):
+    try:
+        return _coeffs(sqrt(radicand))
+    except (NegativeInput, NotRepresentable) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(radicands())
+def test_sqrt_exact_matches_fraction_kernel(radicand):
+    expected = _root_or_error(fraction_oracle.sqrt_exact, radicand)
+    assert _root_or_error(sqrt_exact, radicand) == expected
+
+
 @given(coefficients())
 def test_hash_of_rational_element_is_hash_of_rational(q):
     assert hash(QuadExt(q)) == hash(q)
@@ -100,6 +138,7 @@ def test_hash_of_rational_element_is_hash_of_rational(q):
     lambda: QuadExt(1, 2, 3, 0.25),
     lambda: QuadExt(1, 2) + 0.5,
     lambda: 0.5 * QuadExt(1, 2),
+    lambda: sqrt_exact(4.0),
 ])
 def test_float_input_is_rejected(build):
     with pytest.raises(TypeError):
