@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .construction import build_cluster, make_report, verify_phi
-from .exact import HALF_EVEN, MAX_DIGITS, TRUNCATE, format_fraction, parse_rational
+from .exact import HALF_EVEN, MAX_DIGITS, TRUNCATE, format_fraction, parse_rational, quoted
 from .fibonacci import assess_nearest, convergents
 from .render import render_svg
 from .tessellation import HexIndex, VertexRef, enumerate_vertices
@@ -46,21 +46,22 @@ def _positive_rational_arg(text: str) -> Fraction:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive value, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive value, got {quoted(text)}")
     return value
 
 
 def _int_at_least(minimum: int, maximum: int):
     def parse(text: str) -> int:
+        shown = quoted(text)
         try:
             value = int(text, 10)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+            raise argparse.ArgumentTypeError(f"expected an integer, got {shown}") from exc
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {shown}")
         if value > maximum:
             raise argparse.ArgumentTypeError(
-                f"expected an integer from {minimum} to {maximum}, got {text!r}"
+                f"expected an integer from {minimum} to {maximum}, got {shown}"
             )
         return value
 

@@ -2,19 +2,23 @@
 golden-ratio verification.
 
 Around a vertex O shared by three hexagons, each hexagon contributes three
-concentric circles centered on its center: radii side/2, side and 2*side
+concentric circles centered on its center C: radii side/2, side and 2*side
 (relationship 1:2:4, the middle one circumscribing the hexagon and passing
 through O).  From O, two tangents are drawn to each small circle, giving six
-tangent lines.  On each line, A is the second crossing with that hexagon's
-middle circle and B is the crossing with the large circle on the opposite
-side of O.  The claim verified here, exactly and per segment, is that O
-divides AB in the golden ratio:
+tangent lines.  A line O + t*dir meets a circle of radius r about C where
+lead*t^2 + 2*half*t + |O - C|^2 - r^2 = 0, for lead = |dir|^2 and
+half = (O - C).dir.  A is the middle circle's crossing other than O, at
+t_A = -2*half/lead (Vieta), and B is the large circle's crossing on the
+other side of O: O lies inside it, so its roots differ in sign (the power of
+a point, Euclid III.35-36).  The claim verified here, exactly and per
+segment, is that O divides AB in the golden ratio:
 
     AB = phi * AO  and  AO = phi * OB.
 
 Both identities are checked multiplicatively on squared lengths
 (ab2 == phi**2 * ao2 and ao2 == phi**2 * ob2), which avoids division while
-still pinning the ratio, since all quantities are positive.
+still pinning the ratio, since all quantities are positive.  A, O and B are
+collinear, so ao2 = t_A^2*lead, ob2 = t_B^2*lead and ab2 = (t_A - t_B)^2*lead.
 """
 
 from __future__ import annotations
@@ -22,17 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import PHI, QuadExt, format_fraction, positive_rational, sign, to_decimal
+from .exact import PHI, QuadExt, format_fraction, positive_rational, sign, sqrt_exact, to_decimal
 from .fibonacci import Convergent, assess_nearest
-from .geometry import (
-    Circle,
-    ParamLine,
-    Point,
-    line_circle_intersections,
-    squared_distance,
-    tangent_lines_from_point,
-)
-from .tessellation import HexIndex, VertexRef, hex_center, incident_hexagons, vertex_point
+from .geometry import Circle, ParamLine, Point, tangent_lines_from_point
+from .tessellation import HexIndex, VertexRef, _center, _corner, incident_hexagons
 
 _PHI_SQUARED = PHI * PHI
 
@@ -121,16 +118,17 @@ def build_cluster(vertex: VertexRef, side: int | Fraction = 1) -> Cluster:
     each middle circle because a hexagon's circumradius equals its side.
     """
     side = positive_rational("side", side)
-    o = vertex_point(vertex, side)
+    o = _corner(_center(vertex.hex, side), side, vertex.corner)
+    small, middle, large = QuadExt(side / 2), QuadExt(side), QuadExt(2 * side)
     triples = []
     for hexagon in incident_hexagons(vertex):
-        center = hex_center(hexagon, side)
+        center = _center(hexagon, side)
         triples.append(
             CircleTriple(
                 hex=hexagon,
-                small=Circle(center, QuadExt(side / 2)),
-                middle=Circle(center, QuadExt(side)),
-                large=Circle(center, QuadExt(2 * side)),
+                small=Circle(center, small),
+                middle=Circle(center, middle),
+                large=Circle(center, large),
             )
         )
     return Cluster(vertex=vertex, side=side, o=o, triples=(triples[0], triples[1], triples[2]))
@@ -140,44 +138,43 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
     """The six tangent segments through O, numbered 1..6.
 
     Hexagons are visited in their sorted order; within a hexagon the two
-    tangent lines come ordered by direction angle.  On each line the segment
-    endpoint A is the middle-circle crossing other than O itself, and B is
-    the large-circle crossing on the opposite side of O from A.
+    tangent lines come ordered by direction angle.  On each line A is the
+    middle-circle crossing other than O (Vieta) and B the large-circle
+    crossing on the opposite side of O (the power of O, one square root).
     """
     segments = []
     for triple in cluster.triples:
+        if triple.large.center != triple.middle.center:
+            raise ValueError(f"circles of hexagon {triple.hex} must be concentric")
+        wx = cluster.o.x - triple.middle.center.x
+        wy = cluster.o.y - triple.middle.center.y
+        w2 = wx * wx + wy * wy
+        if w2 != triple.middle.radius * triple.middle.radius:
+            raise ValueError(f"vertex must lie on the middle circle of hexagon {triple.hex}")
+        const = w2 - triple.large.radius * triple.large.radius
+        if sign(const) >= 0:
+            raise ValueError(
+                f"vertex must lie strictly inside the large circle of hexagon {triple.hex}"
+            )
         for line in tangent_lines_from_point(cluster.o, triple.small):
-            middle_ts = [
-                t for t in line_circle_intersections(line, triple.middle) if sign(t) != 0
-            ]
-            if len(middle_ts) != 1:
-                raise ValueError(
-                    "vertex must lie on the middle circle; got "
-                    f"{len(middle_ts)} nonzero crossings for hexagon {triple.hex}"
-                )
-            t_a = middle_ts[0]
-            away = -sign(t_a)
-            large_ts = [
-                t for t in line_circle_intersections(line, triple.large) if sign(t) == away
-            ]
-            if len(large_ts) != 1:
-                raise ValueError(
-                    "vertex must lie strictly inside the large circle of hexagon "
-                    f"{triple.hex}"
-                )
-            t_b = large_ts[0]
-            a = line.point_at(t_a)
-            b = line.point_at(t_b)
+            dx, dy = line.dir
+            lead = dx * dx + dy * dy
+            half = wx * dx + wy * dy
+            inv_lead = lead.inverse()
+            t_a = -(half + half) * inv_lead
+            root = sqrt_exact(half * half - lead * const)  # quarter discriminant, > 0
+            t_b = ((root if sign(t_a) < 0 else -root) - half) * inv_lead
+            t_ab = t_a - t_b
             segments.append(
                 PhiSegment(
                     k=len(segments) + 1,
                     hex=triple.hex,
                     line=line,
-                    a=a,
-                    b=b,
-                    ao2=squared_distance(a, cluster.o),
-                    ob2=squared_distance(cluster.o, b),
-                    ab2=squared_distance(a, b),
+                    a=line.point_at(t_a),
+                    b=line.point_at(t_b),
+                    ao2=t_a * t_a * lead,
+                    ob2=t_b * t_b * lead,
+                    ab2=t_ab * t_ab * lead,
                 )
             )
     return tuple(segments)

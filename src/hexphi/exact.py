@@ -37,6 +37,9 @@ _ROUNDING_MODES = (HALF_EVEN, TRUNCATE)
 # printed from one int, and a rational literal is read as two ints
 MAX_DIGITS = 4300
 
+# an error message repeats at most this many characters of a rejected literal
+ECHO_CHARS = 40
+
 # every decimal literal that `Fraction` reads, and some it rejects: sign,
 # whole digits, fraction digits, exponent (compiled on first use, not on import)
 _DECIMAL_LITERAL = r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d+(?:_\d+)*))?"
@@ -50,10 +53,10 @@ class NegativeInput(ValueError):
     """A square root was requested for a negative radicand."""
 
 
-def _fraction(value: int | Fraction) -> Fraction:
+def _fraction(value: int | Fraction) -> int | Fraction:
     if isinstance(value, float):
         raise TypeError("float coefficients are not exact; pass Fraction or int")
-    return Fraction(value)
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 def positive_rational(name: str, value: int | Fraction) -> Fraction:
@@ -233,16 +236,6 @@ class QuadExt:
     def __ge__(self, other: QuadExt | int | Fraction) -> bool:
         return sign(self - other) >= 0
 
-    def conj_sqrt3(self) -> QuadExt:
-        """Image under the automorphism sending sqrt(3) to -sqrt(3)."""
-        a, b, c, d = self._num
-        return _new((a, -b, c, -d), self._den)
-
-    def conj_sqrt5(self) -> QuadExt:
-        """Image under the automorphism sending sqrt(5) to -sqrt(5)."""
-        a, b, c, d = self._num
-        return _new((a, b, -c, -d), self._den)
-
     def inverse(self) -> QuadExt:
         """Multiplicative inverse in closed form.
 
@@ -377,18 +370,22 @@ def sign(value: QuadExt | int | Fraction) -> int:
     return sp * _sign_sqrt3(a * a + 3 * b * b - 5 * c * c - 15 * d * d, 2 * (a * b - 5 * c * d))
 
 
-def sqrt_exact(radicand: int | Fraction) -> QuadExt:
+def sqrt_exact(radicand: QuadExt | int | Fraction) -> QuadExt:
     """Exact square root of a nonnegative rational, if it lies in the field.
 
     The representable radicands are exactly ``s**2``, ``3*s**2``, ``5*s**2``
-    and ``15*s**2`` for rational ``s``; anything else raises
-    ``NotRepresentable``.  Negative input raises ``NegativeInput``.
+    and ``15*s**2`` for rational ``s``; anything else, irrational field
+    elements too, raises ``NotRepresentable``; a negative, ``NegativeInput``.
 
     For ``n/d`` in lowest terms, ``sqrt(n/d) = sqrt(n*d) / d``, and the root
     lies in the field exactly when ``n*d = k * s**2`` for an integer s and
     one of ``k = 1, 3, 5, 15``; the root is then ``s*sqrt(k) / d``.  That is
     one product and at most four integer square roots.
     """
+    if isinstance(radicand, QuadExt):
+        if not radicand.is_rational:
+            raise NotRepresentable("square root of an irrational field element is unsupported")
+        radicand = radicand.a
     r = _fraction(radicand)
     if r < 0:
         raise NegativeInput("square root of a negative rational")
@@ -455,6 +452,13 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def quoted(text: str) -> str:
+    """`text` as an error message repeats it: a longer literal than `ECHO_CHARS` is cut."""
+    if len(text) <= ECHO_CHARS:
+        return repr(text)
+    return f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def _check_literal_size(num_digits: int, den_digits: int) -> None:
     if num_digits > MAX_DIGITS or den_digits > MAX_DIGITS:
         raise ValueError(
@@ -479,7 +483,7 @@ def parse_rational(text: str) -> Fraction:
         try:
             return Fraction(int(num), int(den))
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
+            raise ValueError(f"zero denominator in {quoted(text)}") from None
     s = s.replace(",", ".", 1)
     match = re.fullmatch(_DECIMAL_LITERAL, s)
     if match is not None:
@@ -494,4 +498,4 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(s)
     except ValueError:
-        raise ValueError(f"not a rational literal: {text!r}") from None
+        raise ValueError(f"not a rational literal: {quoted(text)}") from None

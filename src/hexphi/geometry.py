@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .exact import NotRepresentable, QuadExt, as_quadext, sign, sqrt_exact
+from .exact import QuadExt, as_quadext, sign, sqrt_exact
 
 Direction = tuple[QuadExt, QuadExt]
 
@@ -107,21 +107,13 @@ def line_circle_intersections(line: ParamLine, circle: Circle) -> list[QuadExt]:
     half = wx * dx + wy * dy  # half the linear coefficient
     const = wx * wx + wy * wy - circle.radius * circle.radius
     discriminant = half * half - lead * const  # quarter discriminant
-    if not discriminant.is_rational:
-        raise NotRepresentable("intersection discriminant has no square root in the field")
     disc_sign = sign(discriminant)
     if disc_sign < 0:
         return []
     if disc_sign == 0:
         return [-half / lead]
-    root = sqrt_exact(discriminant.a)
+    root = sqrt_exact(discriminant)
     return [(-half - root) / lead, (-half + root) / lead]
-
-
-def _field_sqrt(value: QuadExt) -> QuadExt:
-    if not value.is_rational:
-        raise NotRepresentable("square root of an irrational field element is unsupported")
-    return sqrt_exact(value.a)
 
 
 def tangent_lines_from_point(p: Point, circle: Circle) -> list[ParamLine]:
@@ -143,14 +135,15 @@ def tangent_lines_from_point(p: Point, circle: Circle) -> list[ParamLine]:
         raise PointInsideCircle("no tangent from a point inside the circle")
     if outside == 0:
         return [ParamLine(p, (-cy, cx))]
-    dist = _field_sqrt(dist2)
-    reach = _field_sqrt(reach2)
-    ux = cx / dist
-    uy = cy / dist
-    cos_t = reach / dist
-    sin_t = circle.radius / dist
-    plus: Direction = (cos_t * ux - sin_t * uy, sin_t * ux + cos_t * uy)
-    minus: Direction = (cos_t * ux + sin_t * uy, -sin_t * ux + cos_t * uy)
+    dist = sqrt_exact(dist2)
+    reach = sqrt_exact(reach2)
+    inv_dist = dist.inverse()
+    ux, uy = cx * inv_dist, cy * inv_dist
+    cos_t = reach * inv_dist
+    sin_t = circle.radius * inv_dist
+    cos_ux, sin_uy, sin_ux, cos_uy = cos_t * ux, sin_t * uy, sin_t * ux, cos_t * uy
+    plus: Direction = (cos_ux - sin_uy, sin_ux + cos_uy)
+    minus: Direction = (cos_ux + sin_uy, cos_uy - sin_ux)
     ordered = sorted([plus, minus], key=direction_angle_key)
     return [ParamLine(p, direction) for direction in ordered]
 

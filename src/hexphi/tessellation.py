@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MAX_DIGITS, QuadExt, positive_rational
+from .exact import MAX_DIGITS, QuadExt, positive_rational, quoted
 from .geometry import Point
 
 #: Axial steps to the six neighbors, listed by azimuth 30 + 60*i degrees.
@@ -80,13 +80,13 @@ class VertexRef:
         """
         parts = text.strip().split(",")
         if len(parts) != 3:
-            raise ValueError(f"expected 'q,r,corner', got {text!r}")
+            raise ValueError(f"expected 'q,r,corner', got {quoted(text)}")
         if max(sum(map(str.isdigit, part)) for part in parts) > MAX_DIGITS:
             raise ValueError(f"vertex components may have at most {MAX_DIGITS} digits each")
         try:
             q, r, corner = (int(part) for part in parts)
         except ValueError:
-            raise ValueError(f"vertex components must be integers: {text!r}") from None
+            raise ValueError(f"vertex components must be integers: {quoted(text)}") from None
         return cls(HexIndex(q, r), corner)
 
     def __str__(self) -> str:
@@ -94,9 +94,14 @@ class VertexRef:
 
 
 def hex_center(hexagon: HexIndex, side: int | Fraction = 1) -> Point:
-    side = positive_rational("side", side)
-    x = QuadExt(side * Fraction(3, 2) * hexagon.q)
-    y = QuadExt(0, side * (Fraction(hexagon.q, 2) + hexagon.r))
+    return _center(hexagon, positive_rational("side", side))
+
+
+def _center(hexagon: HexIndex, side: Fraction) -> Point:
+    """side * (3q/2, (q/2 + r)*sqrt3) for a side checked by `positive_rational`."""
+    p, den = side.numerator, 2 * side.denominator
+    x = QuadExt(Fraction(3 * hexagon.q * p, den))
+    y = QuadExt(0, Fraction((hexagon.q + 2 * hexagon.r) * p, den))
     return Point(x, y)
 
 
@@ -108,13 +113,13 @@ def _corner(center: Point, side: Fraction, k: int) -> Point:
 def hex_corners(hexagon: HexIndex, side: int | Fraction = 1) -> list[Point]:
     """The six corner points, corner 0 first."""
     side = positive_rational("side", side)
-    center = hex_center(hexagon, side)
+    center = _center(hexagon, side)
     return [_corner(center, side, k) for k in range(6)]
 
 
 def vertex_point(vertex: VertexRef, side: int | Fraction = 1) -> Point:
     side = positive_rational("side", side)
-    return _corner(hex_center(vertex.hex, side), side, vertex.corner)
+    return _corner(_center(vertex.hex, side), side, vertex.corner)
 
 
 def incident_hexagons(vertex: VertexRef) -> tuple[HexIndex, HexIndex, HexIndex]:

@@ -10,7 +10,7 @@ import pytest
 
 import hexphi.cli as cli
 from hexphi.cli import main
-from hexphi.exact import HALF_EVEN, MAX_DIGITS, PHI, TRUNCATE, to_decimal
+from hexphi.exact import ECHO_CHARS, HALF_EVEN, MAX_DIGITS, PHI, TRUNCATE, to_decimal
 from hexphi.fibonacci import convergent, fib
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -306,6 +306,27 @@ def test_oversized_rational_literal_is_usage_error(capsys, argv):
     assert out == ""
     assert "may have at most 4300 digits" in err
     assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("arg", [
+    "--vertex=" + "1" * 5000,
+    "--side=" + "x" * 5000,
+    "--vertex=1," + "x" * 5000 + ",0",
+    "--digits=" + "x" * 5000,
+    "--side=-" + "1" * 4300 + "/" + "3" * 4300,
+])
+def test_long_rejected_literal_is_cut_in_the_message(capsys, arg):
+    code, out, err = run(capsys, "verify", arg)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 300
+    assert f"... ({len(arg.partition('=')[2])} characters)" in err
+
+
+def test_short_rejected_literal_is_repeated_whole(capsys):
+    literal = "x" * ECHO_CHARS
+    code, _, err = run(capsys, "verify", f"--side={literal}")
+    assert code == 2
+    assert err.endswith(f"not a rational literal: {literal!r}\n")
 
 
 def test_render_writes_golden_bytes(capsys, tmp_path):

@@ -194,6 +194,51 @@ def test_report_on_perturbed_large_circle_fails():
     assert report.fib_assessment is None
 
 
+def _moved(cluster: Cluster, layer: str, **change) -> Cluster:
+    """`cluster` with one circle of its second hexagon replaced."""
+    first, second, third = cluster.triples
+    circle = replace(getattr(second, layer), **change)
+    return replace(cluster, triples=(first, replace(second, **{layer: circle}), third))
+
+
+@pytest.mark.parametrize("layer, change, message", [
+    ("middle", {"radius": QuadExt(Fraction(3, 2))}, "vertex must lie on the middle circle"),
+    ("large", {"radius": QuadExt(1)}, "strictly inside the large circle"),
+    ("large", {"radius": QuadExt(HALF)}, "strictly inside the large circle"),
+    ("large", {"center": Point(0, 0)}, "must be concentric"),
+])
+def test_construction_guards_raise_domain_errors(layer, change, message):
+    # a ValueError is a usage error to the CLI; an ArithmeticError such as
+    # NotRepresentable would escape `main`
+    broken = _moved(build_cluster(ORIGIN_VERTEX), layer, **change)
+    with pytest.raises(ValueError, match=message):
+        construct_segments(broken)
+
+
+def test_construction_field_operation_counts(monkeypatch):
+    # a guard on the work of one construction that times nothing: the bounds
+    # are the counts of the concentric solve (one 1/dist per hexagon, one
+    # 1/lead per line), down from 241 muls and 36 inverses
+    counts = {"mul": 0, "inverse": 0}
+    mul, inverse = QuadExt.__mul__, QuadExt.inverse
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_inverse(self):
+        counts["inverse"] += 1
+        return inverse(self)
+
+    cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
+    monkeypatch.setattr(QuadExt, "__mul__", counted_mul)
+    monkeypatch.setattr(QuadExt, "__rmul__", counted_mul)
+    monkeypatch.setattr(QuadExt, "inverse", counted_inverse)
+    construct_segments(cluster)
+    assert counts["mul"] <= 157
+    assert counts["inverse"] <= 9
+
+
 def test_all_patch_vertices_verify():
     for vertex in enumerate_vertices(2):
         report = make_report(build_cluster(vertex), 2)
