@@ -216,9 +216,8 @@ def test_construction_guards_raise_domain_errors(layer, change, message):
 
 
 def test_construction_field_operation_counts(monkeypatch):
-    # a guard on the work of one construction that times nothing: the bounds
-    # are the counts of the concentric solve (one 1/dist per hexagon, one
-    # 1/lead per line), down from 241 muls and 36 inverses
+    # bounds the work of one construction without timing it: the counts of
+    # the concentric solve, with one 1/dist per hexagon and one 1/lead per line
     counts = {"mul": 0, "inverse": 0}
     mul, inverse = QuadExt.__mul__, QuadExt.inverse
 
