@@ -4,25 +4,16 @@ Drawing the construction as a deterministic SVG
 
 """
 
-from fractions import Fraction
+from hexphi import HexIndex, VertexRef, build_cluster, make_report, render_svg
 
-from hexphi import HexIndex, RenderOptions, VertexRef, build_cluster, make_report, render_svg
-
-cluster = build_cluster(VertexRef(HexIndex(0, 0), 0))
-report = make_report(cluster)
+report = make_report(build_cluster(VertexRef(HexIndex(0, 0), 0)))
 
 # every coordinate in the file is an exact value printed to a fixed
 # number of digits, so the bytes never change between runs
-svg = render_svg(report, cluster)
-print("default options:", len(svg), "bytes")
-print(svg == render_svg(report, cluster), "(byte-identical on the second run)")
+svg = render_svg(report)
+print("figure:", len(svg), "bytes")
+print(svg == render_svg(report), "(byte-identical on the second run)")
 
 with open("cluster.svg", "w", encoding="utf-8") as handle:
     handle.write(svg)
 print("wrote cluster.svg")
-
-# a denser variant: more digits, no labels, thinner segments
-options = RenderOptions(frac_digits=15, show_labels=False, segment_stroke=Fraction(1, 80))
-with open("cluster_plain.svg", "w", encoding="utf-8") as handle:
-    handle.write(render_svg(report, cluster, options))
-print("wrote cluster_plain.svg")

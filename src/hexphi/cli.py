@@ -79,8 +79,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(report.to_json())
         return 0 if ok else 1
-    print(f"vertex = {report.vertex}")
-    print(f"side = {format_fraction(report.side)}")
+    print(f"vertex = {report.cluster.vertex}")
+    print(f"side = {format_fraction(report.cluster.side)}")
     print(f"segments = {len(report.segments)}")
     for segment in report.segments:
         ab_ok, ao_ok = verify_phi(segment)
@@ -187,8 +187,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    cluster = build_cluster(args.vertex, args.side)
-    svg = render_svg(make_report(cluster), cluster)
+    svg = render_svg(make_report(build_cluster(args.vertex, args.side)))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(svg)

@@ -83,8 +83,7 @@ class PhiSegment:
 class PhiReport:
     """Verification verdict for one cluster."""
 
-    vertex: VertexRef
-    side: Fraction
+    cluster: Cluster
     frac_digits: int
     segments: tuple[PhiSegment, ...]
     phi_exact_ok: bool
@@ -101,8 +100,8 @@ class PhiReport:
                 "variance": self.fib_assessment.variance_decimal(self.frac_digits),
             }
         return {
-            "vertex": str(self.vertex),
-            "side": format_fraction(self.side),
+            "vertex": str(self.cluster.vertex),
+            "side": format_fraction(self.cluster.side),
             "segments": [segment.to_json() for segment in self.segments],
             "phi_exact_ok": self.phi_exact_ok,
             "equal_lengths_ok": self.equal_lengths_ok,
@@ -208,8 +207,7 @@ def make_report(cluster: Cluster, frac_digits: int = 10) -> PhiReport:
         # parse_rational accepts from a user; Fraction reads it in two parts
         fib_assessment = assess_nearest(Fraction(ratio_decimal))
     return PhiReport(
-        vertex=cluster.vertex,
-        side=cluster.side,
+        cluster=cluster,
         frac_digits=frac_digits,
         segments=segments,
         phi_exact_ok=phi_exact_ok,

@@ -14,47 +14,33 @@ outside it with negated y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import Cluster, PhiReport
-from .exact import QuadExt, positive_rational, sign, to_decimal
+from .construction import PhiReport
+from .exact import QuadExt, sign, to_decimal
 from .geometry import Point
 from .tessellation import hex_corners
 
 _SVG_OPEN = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
-
-@dataclass(frozen=True)
-class RenderOptions:
-    """Knobs for the SVG output; strokes are in units of the side length."""
-
-    frac_digits: int = 12
-    canvas_scale: Fraction = Fraction(100)
-    show_labels: bool = True
-    hexagon_stroke: Fraction = Fraction(1, 60)
-    circle_stroke: Fraction = Fraction(1, 100)
-    tangent_stroke: Fraction = Fraction(1, 150)
-    segment_stroke: Fraction = Fraction(1, 40)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.frac_digits, int) or self.frac_digits < 1:
-            raise ValueError("frac_digits must be a positive integer")
-        for name in ("canvas_scale", "hexagon_stroke", "circle_stroke",
-                     "tangent_stroke", "segment_stroke"):
-            object.__setattr__(self, name, positive_rational(name, getattr(self, name)))
+# the one figure style: every number printed with 12 fraction digits, 100
+# canvas units per unit of length, stroke widths in units of the side
+_FRAC_DIGITS = 12
+_CANVAS_SCALE = 100
+_HEXAGON_STROKE = Fraction(1, 60)
+_CIRCLE_STROKE = Fraction(1, 100)
+_TANGENT_STROKE = Fraction(1, 150)
+_SEGMENT_STROKE = Fraction(1, 40)
 
 
-def render_svg(report: PhiReport, cluster: Cluster, options: RenderOptions | None = None) -> str:
-    """Serialize the cluster and its verified segments as an SVG 1.1 document."""
-    opts = options or RenderOptions()
-    if report.vertex != cluster.vertex or report.side != cluster.side:
-        raise ValueError("report does not describe this cluster")
+def render_svg(report: PhiReport) -> str:
+    """Serialize the report's cluster and its six segments as an SVG 1.1 document."""
     if len(report.segments) != 6:
         raise ValueError("expected the six tangent segments")
+    cluster = report.cluster
 
     def fmt(value: QuadExt | int | Fraction) -> str:
-        return to_decimal(value, opts.frac_digits)
+        return to_decimal(value, _FRAC_DIGITS)
 
     # bounding box of the three large circles, plus 5% margin per side
     xs: list[QuadExt] = []
@@ -80,14 +66,14 @@ def render_svg(report: PhiReport, cluster: Cluster, options: RenderOptions | Non
     out: list[str] = [_SVG_OPEN]
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{fmt(vb_w * opts.canvas_scale)}" height="{fmt(vb_h * opts.canvas_scale)}" '
+        f'width="{fmt(vb_w * _CANVAS_SCALE)}" height="{fmt(vb_h * _CANVAS_SCALE)}" '
         f'viewBox="{view_box}">\n'
     )
     out.append(f'<g transform="scale({fmt(1)},{fmt(-1)})">\n')
 
     out.append(
         f'<g id="hexagons" fill="none" stroke="#303030" '
-        f'stroke-width="{fmt(opts.hexagon_stroke * cluster.side)}">\n'
+        f'stroke-width="{fmt(_HEXAGON_STROKE * cluster.side)}">\n'
     )
     for triple in cluster.triples:
         corners = hex_corners(triple.hex, cluster.side)
@@ -95,7 +81,7 @@ def render_svg(report: PhiReport, cluster: Cluster, options: RenderOptions | Non
         out.append(f'<polygon points="{points}"/>\n')
     out.append("</g>\n")
 
-    circle_stroke = fmt(opts.circle_stroke * cluster.side)
+    circle_stroke = fmt(_CIRCLE_STROKE * cluster.side)
     for layer, color in (("small", "#9a9a9a"), ("middle", "#5b7fb5"), ("large", "#9a9a9a")):
         out.append(
             f'<g id="{layer}-circles" fill="none" stroke="{color}" '
@@ -121,7 +107,7 @@ def render_svg(report: PhiReport, cluster: Cluster, options: RenderOptions | Non
     reach = 2 * cluster.side
     out.append(
         f'<g id="tangent-lines" stroke="#c9c9c9" '
-        f'stroke-width="{fmt(opts.tangent_stroke * cluster.side)}">\n'
+        f'stroke-width="{fmt(_TANGENT_STROKE * cluster.side)}">\n'
     )
     for dx, dy in carriers:
         out.append(
@@ -132,7 +118,7 @@ def render_svg(report: PhiReport, cluster: Cluster, options: RenderOptions | Non
 
     out.append(
         f'<g id="phi-segments" stroke="#c23a55" '
-        f'stroke-width="{fmt(opts.segment_stroke * cluster.side)}">\n'
+        f'stroke-width="{fmt(_SEGMENT_STROKE * cluster.side)}">\n'
     )
     for segment in report.segments:
         out.append(
@@ -141,13 +127,22 @@ def render_svg(report: PhiReport, cluster: Cluster, options: RenderOptions | Non
         )
     out.append("</g>\n")
 
-    marker_half = size * Fraction(1, 160)
-    marker_points: list[tuple[str, Point]] = [("O", cluster.o)]
+    # O, A1, B1, ..., A6, B6, each with its label's place: O's sits below
+    # left of it, and an endpoint's is pushed outward along its carrier by 3%
+    # of the viewBox size, which stays inside the field because the carrier
+    # directions of this construction are unit vectors
+    offset = size * Fraction(3, 100)
+    o = cluster.o
+    points: list[tuple[str, Point, QuadExt, QuadExt]] = [("O", o, o.x - offset, o.y - offset)]
     for segment in report.segments:
-        marker_points.append((f"A{segment.k}", segment.a))
-        marker_points.append((f"B{segment.k}", segment.b))
+        dx, dy = segment.line.dir
+        for end, point in (("A", segment.a), ("B", segment.b)):
+            push = sign((point.x - o.x) * dx + (point.y - o.y) * dy) * offset
+            points.append((f"{end}{segment.k}", point, point.x + push * dx, point.y + push * dy))
+
+    marker_half = size * Fraction(1, 160)
     out.append('<g id="markers" fill="#101010" stroke="none">\n')
-    for _, point in marker_points:
+    for _, point, _, _ in points:
         out.append(
             f'<rect x="{fmt(point.x - marker_half)}" y="{fmt(point.y - marker_half)}" '
             f'width="{fmt(2 * marker_half)}" height="{fmt(2 * marker_half)}"/>\n'
@@ -155,37 +150,13 @@ def render_svg(report: PhiReport, cluster: Cluster, options: RenderOptions | Non
     out.append("</g>\n")
     out.append("</g>\n")
 
-    if opts.show_labels:
-        out.append(_labels(report, cluster, marker_points, size, fmt))
+    out.append(
+        f'<g id="labels" font-family="monospace" font-size="{fmt(offset)}" '
+        'fill="#101010" text-anchor="middle">\n'
+    )
+    for name, _, x, y in points:
+        out.append(f'<text x="{fmt(x)}" y="{fmt(-y)}">{name}</text>\n')
+    out.append("</g>\n")
 
     out.append("</svg>\n")
     return "".join(out)
-
-
-def _labels(report: PhiReport, cluster: Cluster, marker_points, size, fmt) -> str:
-    """Label block in already-flipped (SVG) coordinates.
-
-    Endpoint labels are pushed outward along their carrier direction by 3%
-    of the viewBox size, which stays inside the field because the carrier
-    directions of this construction are unit vectors.
-    """
-    offset = size * Fraction(3, 100)
-    by_name = {f"A{s.k}": s for s in report.segments}
-    by_name.update({f"B{s.k}": s for s in report.segments})
-    chunks = [
-        f'<g id="labels" font-family="monospace" font-size="{fmt(offset)}" '
-        'fill="#101010" text-anchor="middle">\n'
-    ]
-    for name, point in marker_points:
-        if name == "O":
-            x = point.x - offset
-            y = point.y - offset
-        else:
-            segment = by_name[name]
-            dx, dy = segment.line.dir
-            outward = sign((point.x - cluster.o.x) * dx + (point.y - cluster.o.y) * dy)
-            x = point.x + outward * offset * dx
-            y = point.y + outward * offset * dy
-        chunks.append(f'<text x="{fmt(x)}" y="{fmt(-y)}">{name}</text>\n')
-    chunks.append("</g>\n")
-    return "".join(chunks)

@@ -151,9 +151,8 @@ def test_criterion_8_field_kernel_properties():
 
 
 def test_criterion_9_deterministic_render():
-    cluster = build_cluster(CANONICAL, 1)
-    report = make_report(cluster)
-    first = render_svg(report, cluster)
-    second = render_svg(report, cluster)
+    report = make_report(build_cluster(CANONICAL, 1))
+    first = render_svg(report)
+    second = render_svg(report)
     golden = GOLDEN.read_text(encoding="utf-8")
     _verdict(9, first == second == golden)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hexphi.construction import build_cluster, make_report
-from hexphi.render import RenderOptions, render_svg
+from hexphi.render import render_svg
 from hexphi.tessellation import HexIndex, VertexRef
 
 GOLDEN = Path(__file__).parent / "data" / "cluster_default.svg"
@@ -21,8 +21,7 @@ NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
 
 
 def _default_svg() -> str:
-    cluster = build_cluster(VertexRef(HexIndex(0, 0), 0))
-    return render_svg(make_report(cluster), cluster)
+    return render_svg(make_report(build_cluster(VertexRef(HexIndex(0, 0), 0))))
 
 
 def _tags(svg: str) -> list[str]:
@@ -58,13 +57,6 @@ def test_segment_lines_and_carriers():
     assert [gid for gid in (g.get("id") for g in root.iter(f"{namespace}g")) if gid] == expected_order
 
 
-def test_labels_can_be_disabled():
-    cluster = build_cluster(VertexRef(HexIndex(0, 0), 0))
-    svg = render_svg(make_report(cluster), cluster, RenderOptions(show_labels=False))
-    assert _tags(svg).count("text") == 0
-    assert _tags(svg).count("rect") == 13
-
-
 def test_label_texts():
     root = ET.fromstring(_default_svg())
     texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
@@ -72,25 +64,22 @@ def test_label_texts():
 
 
 def test_every_numeric_attribute_has_exact_digits():
-    for digits in (3, 12):
-        cluster = build_cluster(VertexRef(HexIndex(0, 0), 0))
-        svg = render_svg(make_report(cluster), cluster, RenderOptions(frac_digits=digits))
-        for element in ET.fromstring(svg).iter():
-            for attr, value in element.attrib.items():
-                if attr not in NUMERIC_ATTRS:
-                    continue
-                numbers = NUMBER.findall(value)
-                assert numbers, (attr, value)
-                for token in numbers:
-                    whole, _, frac = token.partition(".")
-                    assert len(frac) == digits, (attr, token)
+    for element in ET.fromstring(_default_svg()).iter():
+        for attr, value in element.attrib.items():
+            if attr not in NUMERIC_ATTRS:
+                continue
+            numbers = NUMBER.findall(value)
+            assert numbers, (attr, value)
+            for token in numbers:
+                whole, _, frac = token.partition(".")
+                assert len(frac) == 12, (attr, token)
 
 
 def test_byte_determinism_across_runs():
     assert _default_svg() == _default_svg()
     cluster = build_cluster(VertexRef(HexIndex(1, -1), 2), Fraction(3, 2))
-    first = render_svg(make_report(cluster), cluster)
-    second = render_svg(make_report(cluster), cluster)
+    first = render_svg(make_report(cluster))
+    second = render_svg(make_report(cluster))
     assert first == second
 
 
@@ -107,21 +96,3 @@ def test_view_box_covers_large_circles_with_margin():
     assert w == pytest.approx(5.5 * 1.1)
     assert y == pytest.approx(-(sqrt3 / 2 + 2) - (sqrt3 + 4) / 20)
     assert h == pytest.approx((sqrt3 + 4) * 1.1)
-
-
-def test_mismatched_report_and_cluster_rejected():
-    cluster = build_cluster(VertexRef(HexIndex(0, 0), 0))
-    other = build_cluster(VertexRef(HexIndex(1, 0), 2))
-    with pytest.raises(ValueError):
-        render_svg(make_report(other), cluster)
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        RenderOptions(frac_digits=0)
-    with pytest.raises(ValueError):
-        RenderOptions(canvas_scale=Fraction(0))
-    with pytest.raises(TypeError):
-        RenderOptions(segment_stroke=0.5)
-    with pytest.raises(ValueError):
-        RenderOptions(tangent_stroke=Fraction(-1, 10))
