@@ -18,7 +18,8 @@ import sys
 from fractions import Fraction
 
 from .construction import build_cluster, make_report, verify_phi
-from .exact import HALF_EVEN, MAX_DIGITS, TRUNCATE, format_fraction, parse_rational, quoted
+from .exact import ECHO_CHARS, HALF_EVEN, MAX_DIGITS, TRUNCATE, format_fraction, parse_rational
+from .exact import quoted
 from .fibonacci import assess_nearest, convergents
 from .render import render_svg
 from .tessellation import HexIndex, VertexRef, enumerate_vertices
@@ -68,6 +69,30 @@ def _int_at_least(minimum: int, maximum: int):
     return parse
 
 
+class _Misuse(Exception):
+    """A usage error that `_Parser.parse_args` reports once its long tokens are cut."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but its own messages cut each argv token longer than `ECHO_CHARS`,
+    whole or its part after "=" or a short flag, raw or as a repr, as `quoted` does."""
+
+    def parse_args(self, args=None, namespace=None):
+        try:
+            return super().parse_args(args, namespace)
+        except _Misuse as exc:  # from this parser or a subparser, which is of this class too
+            parser, message = exc.args
+            for token in sorted(sys.argv[1:] if args is None else args, key=len, reverse=True):
+                for part in (token, token.partition("=")[2], token[2:]):
+                    if len(part) > ECHO_CHARS:
+                        message = message.replace(repr(part), quoted(part))
+                        message = message.replace(part, quoted(part))
+            argparse.ArgumentParser.error(parser, message)
+
+    def error(self, message):
+        raise _Misuse(self, message)
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -82,12 +107,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"vertex = {report.cluster.vertex}")
     print(f"side = {format_fraction(report.cluster.side)}")
     print(f"segments = {len(report.segments)}")
-    for segment in report.segments:
-        ab_ok, ao_ok = verify_phi(segment)
-        if not ab_ok:
-            print(f"segment {segment.k}: |AB|^2 == Phi^2 * |AO|^2 fails")
-        if not ao_ok:
-            print(f"segment {segment.k}: |AO|^2 == Phi^2 * |OB|^2 fails")
+    if not report.phi_exact_ok:  # make_report already decided; name the failing segments
+        for segment in report.segments:
+            ab_ok, ao_ok = verify_phi(segment)
+            if not ab_ok:
+                print(f"segment {segment.k}: |AB|^2 == Phi^2 * |AO|^2 fails")
+            if not ao_ok:
+                print(f"segment {segment.k}: |AO|^2 == Phi^2 * |OB|^2 fails")
     if not report.equal_lengths_ok:
         distinct = len({segment.ab2 for segment in report.segments})
         print(f"segments have {distinct} distinct |AB|^2 values")
@@ -199,7 +225,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hexphi",
         description="Exact golden-section checks on tangent segments of hexagon circle clusters.",
     )

@@ -36,6 +36,7 @@ _ROUNDING_MODES = (HALF_EVEN, TRUNCATE)
 # (sys.int_info.default_max_str_digits): the fraction digits of a decimal are
 # printed from one int, and a rational literal is read as two ints
 MAX_DIGITS = 4300
+_TOO_LONG_TO_PRINT = f"number out of range: it would print with over {MAX_DIGITS} digits"
 
 # an error message repeats at most this many characters of a rejected literal
 ECHO_CHARS = 40
@@ -409,7 +410,10 @@ def _rounded(scaled: Fraction, rounding: str) -> int:
 def _format_units(units: int, frac_digits: int) -> str:
     prefix = "-" if units < 0 else ""
     whole, frac = divmod(abs(units), 10**frac_digits)
-    return f"{prefix}{whole}.{frac:0{frac_digits}d}"
+    try:
+        return f"{prefix}{whole}.{frac:0{frac_digits}d}"
+    except ValueError:  # str(int) past MAX_DIGITS digits; no size test on the common path
+        raise ValueError(_TOO_LONG_TO_PRINT) from None
 
 
 def to_decimal(
@@ -449,7 +453,10 @@ def to_decimal(
 
 def format_fraction(value: Fraction) -> str:
     """Canonical ``p/q`` rendering (q positive, lowest terms)."""
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # str(int) past MAX_DIGITS digits; no size test on the common path
+        raise ValueError(_TOO_LONG_TO_PRINT) from None
 
 
 def quoted(text: str) -> str:

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .construction import PhiReport
 from .exact import QuadExt, sign, to_decimal
-from .geometry import Point
 from .tessellation import hex_corners
 
 _SVG_OPEN = '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -127,13 +126,12 @@ def render_svg(report: PhiReport) -> str:
         )
     out.append("</g>\n")
 
-    # O, A1, B1, ..., A6, B6, each with its label's place: O's sits below
-    # left of it, and an endpoint's is pushed outward along its carrier by 3%
-    # of the viewBox size, which stays inside the field because the carrier
-    # directions of this construction are unit vectors
+    # O, A1, B1, ..., A6, B6 and the place of each one's label: O's below left
+    # of it, an endpoint's 3% of the viewBox size outward along its carrier,
+    # which stays inside the field because the carrier directions are unit vectors
     offset = size * Fraction(3, 100)
     o = cluster.o
-    points: list[tuple[str, Point, QuadExt, QuadExt]] = [("O", o, o.x - offset, o.y - offset)]
+    points = [("O", o, o.x - offset, o.y - offset)]
     for segment in report.segments:
         dx, dy = segment.line.dir
         for end, point in (("A", segment.a), ("B", segment.b)):

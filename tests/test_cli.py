@@ -327,6 +327,54 @@ def test_short_rejected_literal_is_repeated_whole(capsys):
     code, _, err = run(capsys, "verify", f"--side={literal}")
     assert code == 2
     assert err.endswith(f"not a rational literal: {literal!r}\n")
+    code, _, err = run(capsys, "verify", literal)  # argparse's own message
+    assert code == 2
+    assert err.endswith(f"unrecognized arguments: {literal}\n")
+
+
+LONG = "x" * 5000
+TOO_LONG_TO_PRINT = "over 4300 digits"
+
+# every documented bound of every subcommand, the sides whose derived values
+# pass the 4300-digit print limit, and argparse's own echoes of long tokens;
+# only inputs that run in about a second or less
+BOUNDARY_SWEEP = [
+    (("verify", "--digits", "1"), 0, ""),
+    (("verify", "--digits", "4300"), 0, ""),
+    (("verify", "--digits", "4301"), 2, "from 1 to 4300"),
+    (("verify", "--json", "--side", "1e2149"), 0, ""),
+    (("scan", "--radius", "101"), 2, "from 0 to 100"),
+    (("fib", "--max", "2"), 0, ""),
+    (("fib", "--max", "20578"), 2, "from 2 to 20577"),
+    (("assess", "--ratio", "1e4299"), 0, ""),
+    (("assess", "--ratio", "1e-4299"), 0, ""),
+    (("fib", "--max", "3", "--rounding", LONG), 2, "(5000 characters)"),
+    (("verify", LONG), 2, "(5000 characters)"),
+    ((LONG,), 2, "(5000 characters)"),
+    (("verify", "--json=" + LONG), 2, "(5000 characters)"),
+    (("-h" + LONG,), 2, "(5000 characters)"),
+]
+for side in ("1e4299", "1e-4299", "1e2150", "1e-2150"):
+    BOUNDARY_SWEEP += [
+        (("verify", "--side", side), 0, ""),
+        (("verify", "--json", "--side", side), 2, TOO_LONG_TO_PRINT),
+        (("render", "--out", "{out}", "--side", side),
+         2 if side == "1e4299" else 0, TOO_LONG_TO_PRINT if side == "1e4299" else ""),
+    ]
+
+
+@pytest.mark.parametrize("argv, expected_code, message", BOUNDARY_SWEEP)
+def test_boundary_sweep(capsys, tmp_path, argv, expected_code, message):
+    figure = tmp_path / "figure.svg"
+    code, out, err = run(capsys, *(str(figure) if arg == "{out}" else arg for arg in argv))
+    assert code in {0, 1, 2, 3}
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+    assert len(err.encode()) < 300
+    assert code == expected_code
+    assert message in err
+    if code != 0:
+        assert out == ""
+        assert not figure.exists()
 
 
 def test_render_writes_golden_bytes(capsys, tmp_path):

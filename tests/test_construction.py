@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import float_oracle
+import hexphi.cli as cli
 import hexphi.construction as construction
 from hexphi.construction import (
     Cluster,
@@ -215,9 +216,8 @@ def test_construction_guards_raise_domain_errors(layer, change, message):
         construct_segments(broken)
 
 
-def test_construction_field_operation_counts(monkeypatch):
-    # bounds the work of one construction without timing it: the counts of
-    # the concentric solve, with one 1/dist per hexagon and one 1/lead per line
+def _count_field_operations(monkeypatch) -> dict[str, int]:
+    """From now on, count `QuadExt` muls and inverses into the returned dict."""
     counts = {"mul": 0, "inverse": 0}
     mul, inverse = QuadExt.__mul__, QuadExt.inverse
 
@@ -229,12 +229,28 @@ def test_construction_field_operation_counts(monkeypatch):
         counts["inverse"] += 1
         return inverse(self)
 
-    cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     monkeypatch.setattr(QuadExt, "__mul__", counted_mul)
     monkeypatch.setattr(QuadExt, "__rmul__", counted_mul)
     monkeypatch.setattr(QuadExt, "inverse", counted_inverse)
+    return counts
+
+
+def test_construction_field_operation_counts(monkeypatch):
+    # bounds the work of one construction without timing it: the counts of
+    # the concentric solve, with one 1/dist per hexagon and one 1/lead per line
+    cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
+    counts = _count_field_operations(monkeypatch)
     construct_segments(cluster)
     assert counts["mul"] <= 157
+    assert counts["inverse"] <= 9
+
+
+def test_verify_command_field_operation_counts(monkeypatch, capsys):
+    # a whole `verify` checks each segment's identities once, in make_report
+    counts = _count_field_operations(monkeypatch)
+    assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
+    assert "PHI-EXACT: PASS" in capsys.readouterr().out
+    assert counts["mul"] <= 169
     assert counts["inverse"] <= 9
 
 
