@@ -18,8 +18,9 @@ import sys
 from fractions import Fraction
 
 from .construction import build_cluster, make_report, verify_phi
-from .exact import ECHO_CHARS, HALF_EVEN, MAX_DIGITS, TRUNCATE, format_fraction, parse_rational
-from .exact import quoted
+from .exact import (
+    ECHO_CHARS, HALF_EVEN, MAX_DIGITS, TRUNCATE, format_fraction, parse_rational, quoted,
+)
 from .fibonacci import assess_nearest, convergents
 from .render import render_svg
 from .tessellation import HexIndex, VertexRef, enumerate_vertices
