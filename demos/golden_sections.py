@@ -9,8 +9,8 @@ from hexphi import HexIndex, VertexRef, build_cluster, construct_segments, make_
 # three hexagons meet at corner 0 of the hexagon at axial (0, 0)
 cluster = build_cluster(VertexRef(HexIndex(0, 0), 0), side=1)
 print("shared vertex O = ({}, {})".format(cluster.o.x, cluster.o.y))
-for triple in cluster.triples:
-    print("hexagon", triple.hex, "radii", triple.small.radius, triple.middle.radius, triple.large.radius)
+for hexagon, _center in cluster.centers:
+    print("hexagon", hexagon, "radii", *cluster.radii)
 
 # each tangent from O to a small circle crosses a middle circle at A
 # and a large circle at B, on opposite sides of O

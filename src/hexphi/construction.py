@@ -35,23 +35,22 @@ _PHI_SQUARED = PHI * PHI
 
 
 @dataclass(frozen=True)
-class CircleTriple:
-    """The three concentric circles of one hexagon in a cluster."""
-
-    hex: HexIndex
-    small: Circle
-    middle: Circle
-    large: Circle
-
-
-@dataclass(frozen=True)
 class Cluster:
-    """A vertex O with the circle triples of its three incident hexagons."""
+    """A vertex O and the centers of its three incident hexagons, in sorted order.
+
+    Each center carries three concentric circles whose radii, `radii`, follow
+    from the side alone; the middle one passes through O.
+    """
 
     vertex: VertexRef
     side: Fraction
     o: Point
-    triples: tuple[CircleTriple, CircleTriple, CircleTriple]
+    centers: tuple[tuple[HexIndex, Point], ...]
+
+    @property
+    def radii(self) -> tuple[QuadExt, QuadExt, QuadExt]:
+        """The small, middle and large radius: side/2, side and 2*side."""
+        return QuadExt(self.side / 2), QuadExt(self.side), QuadExt(2 * self.side)
 
 
 @dataclass(frozen=True)
@@ -111,26 +110,14 @@ class PhiReport:
 
 
 def build_cluster(vertex: VertexRef, side: int | Fraction = 1) -> Cluster:
-    """Circles of the three hexagons incident to `vertex`.
+    """The vertex `vertex` of a tessellation with side `side`, and its three hexagons.
 
-    Small, middle and large radii are side/2, side and 2*side; O lies on
-    each middle circle because a hexagon's circumradius equals its side.
+    O lies on each middle circle because a hexagon's circumradius equals its side.
     """
     side = positive_rational("side", side)
     o = _corner(_center(vertex.hex, side), side, vertex.corner)
-    small, middle, large = QuadExt(side / 2), QuadExt(side), QuadExt(2 * side)
-    triples = []
-    for hexagon in incident_hexagons(vertex):
-        center = _center(hexagon, side)
-        triples.append(
-            CircleTriple(
-                hex=hexagon,
-                small=Circle(center, small),
-                middle=Circle(center, middle),
-                large=Circle(center, large),
-            )
-        )
-    return Cluster(vertex=vertex, side=side, o=o, triples=(triples[0], triples[1], triples[2]))
+    centers = tuple((hexagon, _center(hexagon, side)) for hexagon in incident_hexagons(vertex))
+    return Cluster(vertex=vertex, side=side, o=o, centers=centers)
 
 
 def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
@@ -141,21 +128,16 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
     middle-circle crossing other than O (Vieta) and B the large-circle
     crossing on the opposite side of O (the power of O, one square root).
     """
+    small, middle, large = cluster.radii
+    middle2 = middle * middle
+    const = middle2 - large * large  # |O - C|^2 - (2*side)^2 = -3*side^2: O is inside
     segments = []
-    for triple in cluster.triples:
-        if triple.large.center != triple.middle.center:
-            raise ValueError(f"circles of hexagon {triple.hex} must be concentric")
-        wx = cluster.o.x - triple.middle.center.x
-        wy = cluster.o.y - triple.middle.center.y
-        w2 = wx * wx + wy * wy
-        if w2 != triple.middle.radius * triple.middle.radius:
-            raise ValueError(f"vertex must lie on the middle circle of hexagon {triple.hex}")
-        const = w2 - triple.large.radius * triple.large.radius
-        if sign(const) >= 0:
-            raise ValueError(
-                f"vertex must lie strictly inside the large circle of hexagon {triple.hex}"
-            )
-        for line in tangent_lines_from_point(cluster.o, triple.small):
+    for hexagon, center in cluster.centers:
+        wx = cluster.o.x - center.x
+        wy = cluster.o.y - center.y
+        if wx * wx + wy * wy != middle2:
+            raise ValueError(f"vertex must lie on the middle circle of hexagon {hexagon}")
+        for line in tangent_lines_from_point(cluster.o, Circle(center, small)):
             dx, dy = line.dir
             lead = dx * dx + dy * dy
             half = wx * dx + wy * dy
@@ -167,7 +149,7 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
             segments.append(
                 PhiSegment(
                     k=len(segments) + 1,
-                    hex=triple.hex,
+                    hex=hexagon,
                     line=line,
                     a=line.point_at(t_a),
                     b=line.point_at(t_b),

@@ -1,13 +1,14 @@
 """Exact plane geometry over the field: points, parametric lines, circles.
 
 Lines are parametric, ``origin + t * dir``, with no unit-length requirement on
-``dir``; intersection parameters are therefore relative to ``|dir|``.  Every
+``dir``; line parameters are therefore relative to ``|dir|``.  Every
 predicate reduces to a coefficient comparison or to the exact sign of a field
 element, so tangency and membership are decided without tolerances.
 
 Square roots are taken through :func:`hexphi.exact.sqrt_exact`, which only
-accepts rational radicands; a discriminant or distance whose root would leave
-the field raises :class:`hexphi.exact.NotRepresentable`.
+accepts rational radicands.  The roots taken are a point's distance to a
+circle's center and its tangent length; one that would leave the field raises
+:class:`hexphi.exact.NotRepresentable`.
 """
 
 from __future__ import annotations
@@ -91,29 +92,6 @@ def squared_distance_point_line(p: Point, line: ParamLine) -> QuadExt:
 
 def is_tangent(line: ParamLine, circle: Circle) -> bool:
     return squared_distance_point_line(circle.center, line) == circle.radius * circle.radius
-
-
-def line_circle_intersections(line: ParamLine, circle: Circle) -> list[QuadExt]:
-    """Parameters t of line/circle intersections, sorted ascending.
-
-    Solves the quadratic |origin + t*dir - center|**2 = r**2 exactly.  The
-    list is empty for a miss and has one element for a tangency.  Raises
-    NotRepresentable when the discriminant's square root leaves the field.
-    """
-    dx, dy = line.dir
-    wx = line.origin.x - circle.center.x
-    wy = line.origin.y - circle.center.y
-    lead = dx * dx + dy * dy
-    half = wx * dx + wy * dy  # half the linear coefficient
-    const = wx * wx + wy * wy - circle.radius * circle.radius
-    discriminant = half * half - lead * const  # quarter discriminant
-    disc_sign = sign(discriminant)
-    if disc_sign < 0:
-        return []
-    if disc_sign == 0:
-        return [-half / lead]
-    root = sqrt_exact(discriminant)
-    return [(-half - root) / lead, (-half + root) / lead]
 
 
 def tangent_lines_from_point(p: Point, circle: Circle) -> list[ParamLine]:

@@ -42,13 +42,12 @@ def render_svg(report: PhiReport) -> str:
         return to_decimal(value, _FRAC_DIGITS)
 
     # bounding box of the three large circles, plus 5% margin per side
+    large = cluster.radii[2]
     xs: list[QuadExt] = []
     ys: list[QuadExt] = []
-    for triple in cluster.triples:
-        center = triple.large.center
-        radius = triple.large.radius
-        xs += [center.x - radius, center.x + radius]
-        ys += [center.y - radius, center.y + radius]
+    for _, center in cluster.centers:
+        xs += [center.x - large, center.x + large]
+        ys += [center.y - large, center.y + large]
     x_min, x_max = min(xs), max(xs)
     y_min, y_max = min(ys), max(ys)
     width = x_max - x_min
@@ -74,24 +73,22 @@ def render_svg(report: PhiReport) -> str:
         f'<g id="hexagons" fill="none" stroke="#303030" '
         f'stroke-width="{fmt(_HEXAGON_STROKE * cluster.side)}">\n'
     )
-    for triple in cluster.triples:
-        corners = hex_corners(triple.hex, cluster.side)
+    for hexagon, _ in cluster.centers:
+        corners = hex_corners(hexagon, cluster.side)
         points = " ".join(f"{fmt(p.x)},{fmt(p.y)}" for p in corners)
         out.append(f'<polygon points="{points}"/>\n')
     out.append("</g>\n")
 
     circle_stroke = fmt(_CIRCLE_STROKE * cluster.side)
-    for layer, color in (("small", "#9a9a9a"), ("middle", "#5b7fb5"), ("large", "#9a9a9a")):
+    layers = (("small", "#9a9a9a"), ("middle", "#5b7fb5"), ("large", "#9a9a9a"))
+    for (layer, color), radius in zip(layers, cluster.radii):
         out.append(
             f'<g id="{layer}-circles" fill="none" stroke="{color}" '
             f'stroke-width="{circle_stroke}">\n'
         )
-        for triple in cluster.triples:
-            circle = getattr(triple, layer)
-            out.append(
-                f'<circle cx="{fmt(circle.center.x)}" cy="{fmt(circle.center.y)}" '
-                f'r="{fmt(circle.radius)}"/>\n'
-            )
+        r = fmt(radius)
+        for _, center in cluster.centers:
+            out.append(f'<circle cx="{fmt(center.x)}" cy="{fmt(center.y)}" r="{r}"/>\n')
         out.append("</g>\n")
 
     # the six tangent rays lie on three carrier lines; draw each once,

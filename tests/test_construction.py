@@ -8,8 +8,11 @@ import pytest
 import float_oracle
 import hexphi.cli as cli
 import hexphi.construction as construction
+import hexphi.exact as exact
+import hexphi.fibonacci as fibonacci
+import hexphi.geometry as geometry
+import hexphi.render as render
 from hexphi.construction import (
-    Cluster,
     PhiSegment,
     build_cluster,
     construct_segments,
@@ -39,28 +42,22 @@ AB2 = QuadExt(Fraction(9, 2), 0, Fraction(3, 2))
 def test_build_cluster_canonical_example():
     cluster = build_cluster(ORIGIN_VERTEX)
     assert cluster.o == Point(1, 0)
-    assert [triple.hex for triple in cluster.triples] == [
-        HexIndex(0, 0),
-        HexIndex(1, -1),
-        HexIndex(1, 0),
-    ]
-    assert cluster.triples[0].middle.center == Point(0, 0)
-    assert cluster.triples[1].middle.center == Point(Fraction(3, 2), QuadExt(0, -HALF))
-    assert cluster.triples[2].middle.center == Point(Fraction(3, 2), QuadExt(0, HALF))
+    assert cluster.centers == (
+        (HexIndex(0, 0), Point(0, 0)),
+        (HexIndex(1, -1), Point(Fraction(3, 2), QuadExt(0, -HALF))),
+        (HexIndex(1, 0), Point(Fraction(3, 2), QuadExt(0, HALF))),
+    )
 
 
 def test_build_cluster_radii_are_1_2_4():
-    cluster = build_cluster(ORIGIN_VERTEX, 2)
-    for triple in cluster.triples:
-        assert triple.small.radius == QuadExt(1)
-        assert triple.middle.radius == QuadExt(2)
-        assert triple.large.radius == QuadExt(4)
+    assert build_cluster(ORIGIN_VERTEX, 2).radii == (QuadExt(1), QuadExt(2), QuadExt(4))
 
 
 def test_build_cluster_vertex_on_every_middle_circle():
     cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
-    for triple in cluster.triples:
-        assert squared_distance(cluster.o, triple.middle.center) == triple.middle.radius**2
+    middle = cluster.radii[1]
+    for _, center in cluster.centers:
+        assert squared_distance(cluster.o, center) == middle**2
 
 
 def test_build_cluster_input_validation():
@@ -101,18 +98,19 @@ def test_segments_scale_quadratically_with_side():
 def test_lines_are_tangent_to_their_small_circles():
     cluster = build_cluster(ORIGIN_VERTEX)
     segments = construct_segments(cluster)
-    by_hex = {triple.hex: triple for triple in cluster.triples}
+    centers = dict(cluster.centers)
+    small = cluster.radii[0]
     for segment in segments:
-        assert is_tangent(segment.line, by_hex[segment.hex].small)
+        assert is_tangent(segment.line, Circle(centers[segment.hex], small))
 
 
 def test_endpoints_lie_on_their_circles():
     cluster = build_cluster(ORIGIN_VERTEX, Fraction(3, 2))
-    by_hex = {triple.hex: triple for triple in cluster.triples}
+    centers = dict(cluster.centers)
+    _, middle, large = cluster.radii
     for segment in construct_segments(cluster):
-        triple = by_hex[segment.hex]
-        assert squared_distance(segment.a, triple.middle.center) == triple.middle.radius**2
-        assert squared_distance(segment.b, triple.large.center) == triple.large.radius**2
+        assert squared_distance(segment.a, centers[segment.hex]) == middle**2
+        assert squared_distance(segment.b, centers[segment.hex]) == large**2
 
 
 def test_o_lies_strictly_between_a_and_b():
@@ -176,44 +174,25 @@ def test_report_json_shape():
     assert first["A"]["x"].keys() == {"a", "b", "c", "d", "decimal"}
 
 
-def test_report_on_perturbed_large_circle_fails():
+def test_report_on_a_doctored_segment_fails(monkeypatch):
     cluster = build_cluster(ORIGIN_VERTEX)
-    # radius 7/2 keeps the crossing representable but breaks the golden split
-    bigger = Circle(cluster.triples[0].large.center, QuadExt(Fraction(7, 2)))
-    broken = replace(
-        cluster,
-        triples=(
-            replace(cluster.triples[0], large=bigger),
-            cluster.triples[1],
-            cluster.triples[2],
-        ),
-    )
-    report = make_report(broken, 10)
+    first, *rest = construct_segments(cluster)
+    doctored = (replace(first, ab2=first.ab2 * 2), *rest)
+    monkeypatch.setattr(construction, "construct_segments", lambda _cluster: doctored)
+    report = make_report(cluster, 10)
+    assert report.segments == doctored
     assert not report.phi_exact_ok
     assert not report.equal_lengths_ok
     assert report.ratio_decimal is None
     assert report.fib_assessment is None
 
 
-def _moved(cluster: Cluster, layer: str, **change) -> Cluster:
-    """`cluster` with one circle of its second hexagon replaced."""
-    first, second, third = cluster.triples
-    circle = replace(getattr(second, layer), **change)
-    return replace(cluster, triples=(first, replace(second, **{layer: circle}), third))
-
-
-@pytest.mark.parametrize("layer, change, message", [
-    ("middle", {"radius": QuadExt(Fraction(3, 2))}, "vertex must lie on the middle circle"),
-    ("large", {"radius": QuadExt(1)}, "strictly inside the large circle"),
-    ("large", {"radius": QuadExt(HALF)}, "strictly inside the large circle"),
-    ("large", {"center": Point(0, 0)}, "must be concentric"),
-])
-def test_construction_guards_raise_domain_errors(layer, change, message):
+def test_construction_guards_raise_domain_errors():
     # a ValueError is a usage error to the CLI; an ArithmeticError such as
     # NotRepresentable would escape `main`
-    broken = _moved(build_cluster(ORIGIN_VERTEX), layer, **change)
-    with pytest.raises(ValueError, match=message):
-        construct_segments(broken)
+    moved = replace(build_cluster(ORIGIN_VERTEX), o=Point(0, 0))
+    with pytest.raises(ValueError, match="vertex must lie on the middle circle"):
+        construct_segments(moved)
 
 
 def _count_field_operations(monkeypatch) -> dict[str, int]:
@@ -241,7 +220,7 @@ def test_construction_field_operation_counts(monkeypatch):
     cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     counts = _count_field_operations(monkeypatch)
     construct_segments(cluster)
-    assert counts["mul"] <= 157
+    assert counts["mul"] <= 153
     assert counts["inverse"] <= 9
 
 
@@ -250,8 +229,31 @@ def test_verify_command_field_operation_counts(monkeypatch, capsys):
     counts = _count_field_operations(monkeypatch)
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert counts["mul"] <= 169
+    assert counts["mul"] <= 165
     assert counts["inverse"] <= 9
+
+
+def _count_sign_calls(monkeypatch) -> list[int]:
+    """From now on, count `sign` calls, wherever a module binds the name, into the returned list."""
+    calls = []
+
+    def counted_sign(value):
+        calls.append(1)
+        return sign(value)
+
+    for module in (exact, geometry, construction, render, fibonacci):
+        monkeypatch.setattr(module, "sign", counted_sign)
+    return calls
+
+
+def test_sign_calls_per_verify_and_per_cluster(monkeypatch, capsys):
+    # a cluster is its centers and side: no circle to check, so no sign call
+    calls = _count_sign_calls(monkeypatch)
+    build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
+    assert len(calls) == 0
+    assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
+    assert "PHI-EXACT: PASS" in capsys.readouterr().out
+    assert len(calls) <= 22
 
 
 def test_all_patch_vertices_verify():

@@ -4,10 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from hexphi.exact import PHI, SQRT3, SQRT15, NotRepresentable, QuadExt, sign, to_decimal
+from hexphi.exact import SQRT3, NotRepresentable, QuadExt
 from hexphi.geometry import (
     Circle,
     ParamLine,
@@ -16,7 +14,6 @@ from hexphi.geometry import (
     compare_directions,
     direction_angle_key,
     is_tangent,
-    line_circle_intersections,
     squared_distance,
     squared_distance_point_line,
     tangent_lines_from_point,
@@ -33,11 +30,6 @@ def _as_float(x: QuadExt) -> float:
         + float(x.c) * math.sqrt(5)
         + float(x.d) * math.sqrt(15)
     )
-
-
-SMALL_RATIONALS = st.fractions(
-    min_value=Fraction(-8), max_value=Fraction(8), max_denominator=12
-)
 
 
 # --- value types ---------------------------------------------------------------
@@ -98,87 +90,6 @@ def test_is_tangent_example():
     assert not is_tangent(line, Circle(Point(1, 0), QuadExt(1)))
 
 
-# --- line/circle intersections -------------------------------------------------------
-
-def test_intersections_through_circle_with_vertex_on_it():
-    line = ParamLine(Point(0, 0), (SQRT3_HALF, QuadExt(HALF)))
-    ts = line_circle_intersections(line, Circle(Point(1, 0), QuadExt(1)))
-    assert ts == [QuadExt(0), SQRT3]
-
-
-def test_intersections_with_double_radius_circle():
-    line = ParamLine(Point(0, 0), (SQRT3_HALF, QuadExt(HALF)))
-    ts = line_circle_intersections(line, Circle(Point(1, 0), QuadExt(2)))
-    assert ts == [(SQRT3 - SQRT15) / 2, (SQRT3 + SQRT15) / 2]
-
-
-def test_intersections_miss_is_empty():
-    x_axis = ParamLine(Point(0, 0), (QuadExt(1), QuadExt(0)))
-    assert line_circle_intersections(x_axis, Circle(Point(0, 5), QuadExt(1))) == []
-
-
-def test_intersections_tangency_is_single():
-    x_axis = ParamLine(Point(0, 0), (QuadExt(1), QuadExt(0)))
-    assert line_circle_intersections(x_axis, Circle(Point(0, 1), QuadExt(1))) == [QuadExt(0)]
-
-
-def test_intersections_substitute_back_exactly():
-    line = ParamLine(Point(0, 0), (SQRT3_HALF, QuadExt(HALF)))
-    circle = Circle(Point(1, 0), QuadExt(2))
-    for t in line_circle_intersections(line, circle):
-        assert squared_distance(line.point_at(t), circle.center) == circle.radius**2
-
-
-def test_intersections_irrational_discriminant_rejected():
-    slanted = ParamLine(Point(0, 0), (QuadExt(1), SQRT3))
-    with pytest.raises(NotRepresentable):
-        line_circle_intersections(slanted, Circle(Point(1, 1), QuadExt(1)))
-    x_axis = ParamLine(Point(0, 0), (QuadExt(1), QuadExt(0)))
-    with pytest.raises(NotRepresentable):
-        # discriminant is 2: rational, but its root is outside the field
-        line_circle_intersections(x_axis, Circle(Point(0, 1), SQRT3))
-
-
-RATIONAL_NORM_DIRS = ((1, 0), (0, 1), (3, 4), (-5, 12), (8, -15))
-PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (1, 0, 1))
-
-
-@settings(max_examples=60)
-@given(
-    SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS,
-    st.fractions(min_value=Fraction(1, 4), max_value=Fraction(4), max_denominator=8),
-    st.sampled_from(RATIONAL_NORM_DIRS),
-    st.sampled_from(PYTHAGOREAN),
-)
-def test_rational_root_intersections_match_float_oracle(ox, oy, t1, t2, scale, base, pyth):
-    """A circle built around a rational chord of a rational-norm line is met
-    exactly at the chosen parameters, and a float quadratic-formula oracle
-    agrees to 1e-12."""
-    assume(t1 != t2)
-    t1, t2 = sorted((t1, t2))
-    dx, dy = Fraction(base[0]) * scale, Fraction(base[1]) * scale
-    norm = scale * Fraction(math.isqrt(base[0] ** 2 + base[1] ** 2))
-    line = ParamLine(Point(ox, oy), (QuadExt(dx), QuadExt(dy)))
-    half_span = (t2 - t1) / 2
-    a, b, c = pyth
-    offset = half_span * Fraction(b, a)
-    mid = line.point_at(t1 + half_span)
-    center = Point(mid.x - offset * dy, mid.y + offset * dx)
-    radius = norm * half_span * Fraction(c, a)
-    circle = Circle(center, QuadExt(radius))
-    ts = line_circle_intersections(line, circle)
-    assert ts == [QuadExt(t1), QuadExt(t2)]
-    # float quadratic-formula oracle
-    wx, wy = float(ox - center.x.a), float(oy - center.y.a)
-    qa = float(dx) ** 2 + float(dy) ** 2
-    qb = 2 * (wx * float(dx) + wy * float(dy))
-    qc = wx**2 + wy**2 - float(radius) ** 2
-    disc = max(qb * qb - 4 * qa * qc, 0.0)
-    expected = sorted([(-qb - math.sqrt(disc)) / (2 * qa), (-qb + math.sqrt(disc)) / (2 * qa)])
-    for got, want in zip((float(t1), float(t2)), expected):
-        assert got == pytest.approx(want, abs=1e-12)
-
-
 # --- tangent lines --------------------------------------------------------------------
 
 def test_tangents_from_external_point():
@@ -219,10 +130,10 @@ def test_constructed_tangents_are_tangent():
             assert len(lines) == 2
             for line in lines:
                 assert is_tangent(line, circle)
-                ts = line_circle_intersections(line, circle)
-                assert len(ts) == 1
-                touch = line.point_at(ts[0])
-                assert squared_distance(touch, center) == circle.radius**2
+                # the touch point is the foot of the perpendicular from the center
+                dx, dy = line.dir
+                t = ((center.x - p.x) * dx + (center.y - p.y) * dy) / (dx * dx + dy * dy)
+                assert squared_distance(line.point_at(t), center) == circle.radius**2
 
 
 def test_tangents_match_arcsin_rotation_oracle():
@@ -264,12 +175,3 @@ def test_direction_comparison_treats_parallel_as_equal():
     assert compare_directions(d1, d2) == 0
     assert compare_directions(d1, (-QuadExt(1), -SQRT3)) != 0
 
-
-def test_phi_relation_of_example_intersections():
-    # the nonzero parameters of the two concentric examples divide in phi
-    line = ParamLine(Point(0, 0), (SQRT3_HALF, QuadExt(HALF)))
-    middle = line_circle_intersections(line, Circle(Point(1, 0), QuadExt(1)))[1]
-    near, _far = line_circle_intersections(line, Circle(Point(1, 0), QuadExt(2)))
-    whole = middle - near  # length from the far crossing to the middle one
-    assert whole == PHI * middle
-    assert to_decimal(whole / middle, 10) == "1.6180339887"
