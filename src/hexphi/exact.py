@@ -403,8 +403,15 @@ def sqrt_exact(radicand: QuadExt | int | Fraction) -> QuadExt:
     raise NotRepresentable(f"sqrt({r}) lies outside the field")
 
 
-def _rounded(scaled: Fraction, rounding: str) -> int:
-    return round(scaled) if rounding == HALF_EVEN else math.trunc(scaled)
+def _rounded(num: int, den: int, rounding: str) -> int:
+    """``num / den`` for ``den > 0``, rounded half-even or truncated toward zero."""
+    units, rest = divmod(num, den)  # floor
+    if rounding == HALF_EVEN:
+        if 2 * rest > den or (2 * rest == den and units & 1):
+            units += 1
+    elif rest and units < 0:
+        units += 1
+    return units
 
 
 def _format_units(units: int, frac_digits: int) -> str:
@@ -425,7 +432,10 @@ def to_decimal(
     tail toward zero.  An irrational value times ``10**(frac_digits + guard)``
     is enclosed between two rationals built from the integer square roots of
     3, 5 and 15 at that scale; the guard digits double until both ends round
-    to the same digits, which then are the value's own.
+    to the same digits, which then are the value's own.  The first guard is 8
+    more than the whole digits of the largest irrational coefficient, so the
+    enclosure is under 3e-8 units wide and settles in one try unless the
+    value lies that close to a rounding boundary.
     """
     if frac_digits < 1:
         raise ValueError("frac_digits must be at least 1")
@@ -435,8 +445,10 @@ def to_decimal(
     a, b, c, d = x._num
     den = x._den
     if not (b or c or d):
-        return _format_units(_rounded(Fraction(a * 10**frac_digits, den), rounding), frac_digits)
-    guard = 8  # settles every coordinate of a rendered figure in one try
+        return _format_units(_rounded(a * 10**frac_digits, den, rounding), frac_digits)
+    # max(|b|, |c|, |d|) / den < 2**whole_bits, and 31/100 > log10(2)
+    whole_bits = max(abs(b), abs(c), abs(d)).bit_length() - den.bit_length() + 1
+    guard = 8 + max(0, -(-whole_bits * 31 // 100))
     while True:
         scale = 10 ** (frac_digits + guard)
         lo = hi = a * scale
@@ -445,8 +457,8 @@ def to_decimal(
             root = math.isqrt(radicand * scale * scale)
             lo += coeff * (root if coeff >= 0 else root + 1)
             hi += coeff * (root + 1 if coeff >= 0 else root)
-        units = _rounded(Fraction(lo, den * 10**guard), rounding)
-        if units == _rounded(Fraction(hi, den * 10**guard), rounding):
+        units = _rounded(lo, den * 10**guard, rounding)
+        if units == _rounded(hi, den * 10**guard, rounding):
             return _format_units(units, frac_digits)
         guard *= 2
 

@@ -274,6 +274,33 @@ def test_decimal_truncation_mode():
     assert to_decimal(Fraction(-199, 100), 1, TRUNCATE) == "-1.9"
 
 
+# ties of both parities at 2 and 3 digits, of both signs, and values of
+# both signs between ties
+RATIONAL_DECIMAL_CASES = (
+    [Fraction(n, 8) for n in range(-20, 21)]
+    + [Fraction(n, 2000) for n in range(-9, 10, 2)]
+    + [Fraction(-199, 100), Fraction(-1, 3), Fraction(-2, 3), Fraction(89, 55), Fraction(7, 6)]
+)
+
+
+@pytest.mark.parametrize("rounding, reference", [(HALF_EVEN, round), (TRUNCATE, math.trunc)])
+def test_rational_decimal_matches_fraction_rounding(rounding, reference):
+    for value in RATIONAL_DECIMAL_CASES:
+        for digits in (1, 2, 3, 5):
+            units = Fraction(to_decimal(value, digits, rounding)) * 10**digits
+            assert units == reference(value * 10**digits), (value, digits)
+
+
+@settings(max_examples=100)
+@given(
+    st.fractions(max_denominator=10**4), st.integers(1, 8), st.sampled_from([HALF_EVEN, TRUNCATE])
+)
+def test_rational_decimal_matches_fraction_rounding_anywhere(value, digits, rounding):
+    reference = round if rounding == HALF_EVEN else math.trunc
+    units = Fraction(to_decimal(value, digits, rounding)) * 10**digits
+    assert units == reference(value * 10**digits)
+
+
 def test_decimal_rejects_bad_arguments():
     with pytest.raises(ValueError):
         to_decimal(PHI, 0)

@@ -5,6 +5,7 @@ from the standard library's `decimal` module."""
 from __future__ import annotations
 
 import decimal
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -109,3 +110,32 @@ def test_decimal_matches_stdlib_square_roots(x, digits, rounding):
     assert to_decimal(x, digits, rounding) == expected
     if value.copy_abs() > slack:
         assert sign(x) == (1 if value > 0 else -1)
+
+
+def test_decimal_of_thousand_digit_coefficients_settles_in_one_try(monkeypatch):
+    # coefficients of over 1000 digits over a small denominator: the first
+    # guard covers their whole digits, so one enclosure (3 isqrt) settles it
+    x = QuadExt(
+        Fraction(10**1000 + 1, 7),
+        Fraction(-(3**2100), 11),
+        Fraction(5**1450, 3),
+        Fraction(2**3400 + 1, 13),
+    )
+    digits = 20
+    context = decimal.Context(prec=1100)
+    value = _stdlib_value(x, context)
+    isqrt = math.isqrt
+    calls = []
+
+    def counted_isqrt(n):
+        calls.append(n)
+        return isqrt(n)
+
+    for rounding in (HALF_EVEN, TRUNCATE):
+        expected = _stdlib_render(value, digits, rounding, context)
+        calls.clear()
+        monkeypatch.setattr(math, "isqrt", counted_isqrt)
+        rendered = to_decimal(x, digits, rounding)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert rendered == expected
