@@ -110,7 +110,7 @@ class PhiReport:
 
 
 def build_cluster(vertex: VertexRef, side: int | Fraction = 1) -> Cluster:
-    """The vertex `vertex` of a tessellation with side `side`, and its three hexagons.
+    """The cluster at `vertex` of hexagons of side `side`: O and three centers.
 
     O lies on each middle circle because a hexagon's circumradius equals its side.
     """
@@ -130,7 +130,8 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
     """
     small, middle, large = cluster.radii
     middle2 = middle * middle
-    const = middle2 - large * large  # |O - C|^2 - (2*side)^2 = -3*side^2: O is inside
+    # |O - C|^2 - (2*side)^2 once O is on the middle circle: -3*side^2, so O is inside
+    const = middle2 - large * large
     segments = []
     for hexagon, center in cluster.centers:
         wx = cluster.o.x - center.x

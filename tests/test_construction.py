@@ -234,7 +234,7 @@ def test_verify_command_field_operation_counts(monkeypatch, capsys):
 
 
 def _count_sign_calls(monkeypatch) -> list[int]:
-    """From now on, count `sign` calls, wherever a module binds the name, into the returned list."""
+    """From now on, count `sign` calls wherever a module binds the name."""
     calls = []
 
     def counted_sign(value):
