@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -95,6 +94,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(payload: dict) -> None:
+    import json  # imported here: only --json output needs it, and it costs every start-up
+
     print(json.dumps(payload, indent=2))
 
 

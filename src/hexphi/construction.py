@@ -23,7 +23,7 @@ collinear, so ao2 = t_A^2*lead, ob2 = t_B^2*lead and ab2 = (t_A - t_B)^2*lead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import PHI, QuadExt, format_fraction, positive_rational, sign, sqrt_exact, to_decimal
@@ -34,18 +34,15 @@ from .tessellation import HexIndex, VertexRef, _center, _corner, incident_hexago
 _PHI_SQUARED = PHI * PHI
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(namedtuple("Cluster", "vertex side o centers")):
     """A vertex O and the centers of its three incident hexagons, in sorted order.
 
     Each center carries three concentric circles whose radii, `radii`, follow
-    from the side alone; the middle one passes through O.
+    from the side alone; the middle one passes through O.  `centers` holds
+    one ``(HexIndex, Point)`` pair per hexagon.
     """
 
-    vertex: VertexRef
-    side: Fraction
-    o: Point
-    centers: tuple[tuple[HexIndex, Point], ...]
+    __slots__ = ()
 
     @property
     def radii(self) -> tuple[QuadExt, QuadExt, QuadExt]:
@@ -53,18 +50,10 @@ class Cluster:
         return QuadExt(self.side / 2), QuadExt(self.side), QuadExt(2 * self.side)
 
 
-@dataclass(frozen=True)
-class PhiSegment:
+class PhiSegment(namedtuple("PhiSegment", "k hex line a b ao2 ob2 ab2")):
     """One tangent segment A-B through O, with exact squared lengths."""
 
-    k: int
-    hex: HexIndex
-    line: ParamLine
-    a: Point
-    b: Point
-    ao2: QuadExt
-    ob2: QuadExt
-    ab2: QuadExt
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -78,17 +67,11 @@ class PhiSegment:
         }
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(namedtuple("PhiReport", "cluster frac_digits segments phi_exact_ok "
+                                        "equal_lengths_ok ratio_decimal fib_assessment")):
     """Verification verdict for one cluster."""
 
-    cluster: Cluster
-    frac_digits: int
-    segments: tuple[PhiSegment, ...]
-    phi_exact_ok: bool
-    equal_lengths_ok: bool
-    ratio_decimal: str | None
-    fib_assessment: Convergent | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         fibonacci = None

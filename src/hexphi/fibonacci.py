@@ -18,8 +18,8 @@ two consecutive near-side convergents that bracket t.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import HALF_EVEN, PHI, QuadExt, parse_rational, sign, to_decimal
@@ -32,11 +32,10 @@ def fib(n: int) -> int:
     return convergent(n + 1).fn_1
 
 
-@dataclass(frozen=True)
-class Convergent:
-    n: int
-    fn: int
-    fn_1: int
+class Convergent(namedtuple("Convergent", "n fn fn_1")):
+    """The n-th convergent, F(n)/F(n-1), held as n, F(n) and F(n-1)."""
+
+    __slots__ = ()
 
     @property
     def ratio(self) -> Fraction:

@@ -13,7 +13,7 @@ circle's center and its tangent length; one that would leave the field raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -22,49 +22,42 @@ from .exact import QuadExt, as_quadext, sign, sqrt_exact
 Direction = tuple[QuadExt, QuadExt]
 
 
-@dataclass(frozen=True)
-class Point:
-    x: QuadExt
-    y: QuadExt
+class Point(namedtuple("Point", "x y")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_quadext(self.x))
-        object.__setattr__(self, "y", as_quadext(self.y))
+    def __new__(cls, x: QuadExt | int | Fraction, y: QuadExt | int | Fraction) -> Point:
+        return super().__new__(cls, as_quadext(x), as_quadext(y))
 
     def to_json(self) -> dict[str, dict[str, str]]:
         return {"x": self.x.to_json(), "y": self.y.to_json()}
 
 
-@dataclass(frozen=True)
-class ParamLine:
+class ParamLine(namedtuple("ParamLine", "origin dir")):
     """Line through `origin` with direction `dir`, traced as origin + t*dir."""
 
-    origin: Point
-    dir: Direction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        dx, dy = self.dir
+    def __new__(cls, origin: Point, dir: Direction) -> ParamLine:
+        dx, dy = dir
         dx = as_quadext(dx)
         dy = as_quadext(dy)
         if dx.is_zero and dy.is_zero:
             raise ValueError("line direction must be nonzero")
-        object.__setattr__(self, "dir", (dx, dy))
+        return super().__new__(cls, origin, (dx, dy))
 
     def point_at(self, t: QuadExt | int | Fraction) -> Point:
         t = as_quadext(t)
         return Point(self.origin.x + t * self.dir[0], self.origin.y + t * self.dir[1])
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    radius: QuadExt
+class Circle(namedtuple("Circle", "center radius")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        radius = as_quadext(self.radius)
+    def __new__(cls, center: Point, radius: QuadExt | int | Fraction) -> Circle:
+        radius = as_quadext(radius)
         if sign(radius) <= 0:
             raise ValueError("circle radius must be positive")
-        object.__setattr__(self, "radius", radius)
+        return super().__new__(cls, center, radius)
 
 
 class PointInsideCircle(ValueError):

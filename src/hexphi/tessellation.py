@@ -13,7 +13,7 @@ reference equality coincide with geometric identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import MAX_DIGITS, QuadExt, positive_rational, quoted
@@ -29,14 +29,13 @@ _CORNER_COS = (Fraction(1), _HALF, -_HALF, Fraction(-1), -_HALF, _HALF)
 _CORNER_SIN_SQRT3 = (Fraction(0), _HALF, _HALF, Fraction(0), -_HALF, -_HALF)
 
 
-@dataclass(frozen=True, order=True)
-class HexIndex:
-    q: int
-    r: int
+class HexIndex(namedtuple("HexIndex", "q r")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or not isinstance(self.r, int):
+    def __new__(cls, q: int, r: int) -> HexIndex:
+        if not isinstance(q, int) or not isinstance(r, int):
             raise TypeError("axial coordinates must be integers")
+        return super().__new__(cls, q, r)
 
     def __str__(self) -> str:
         return f"{self.q},{self.r}"
@@ -52,8 +51,7 @@ def _names(q: int, r: int, corner: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-@dataclass(frozen=True, order=True)
-class VertexRef:
+class VertexRef(namedtuple("VertexRef", "hex corner")):
     """A tessellation vertex, stored in canonical (q, r, corner) form.
 
     Any of the three equivalent (hexagon, corner) names may be passed in;
@@ -61,15 +59,13 @@ class VertexRef:
     equal exactly when they name the same geometric point.
     """
 
-    hex: HexIndex
-    corner: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.corner, int) or not 0 <= self.corner <= 5:
+    def __new__(cls, hex: HexIndex, corner: int) -> VertexRef:
+        if not isinstance(corner, int) or not 0 <= corner <= 5:
             raise ValueError("corner must be an integer in 0..5")
-        q, r, corner = min(_names(self.hex.q, self.hex.r, self.corner))
-        object.__setattr__(self, "hex", HexIndex(q, r))
-        object.__setattr__(self, "corner", corner)
+        q, r, corner = min(_names(hex.q, hex.r, corner))
+        return super().__new__(cls, HexIndex(q, r), corner)
 
     @classmethod
     def from_string(cls, text: str) -> VertexRef:

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import os
 import subprocess
@@ -111,9 +110,8 @@ def test_verify_reports_failure_detail(capsys, monkeypatch):
 
     def doctored(cluster, frac_digits=10):
         report = real_make_report(cluster, frac_digits)
-        bad_first = dataclasses.replace(report.segments[0], ab2=report.segments[0].ao2)
-        return dataclasses.replace(
-            report,
+        bad_first = report.segments[0]._replace(ab2=report.segments[0].ao2)
+        return report._replace(
             segments=(bad_first,) + report.segments[1:],
             phi_exact_ok=False,
             equal_lengths_ok=False,
@@ -155,7 +153,7 @@ def test_scan_reports_failures(capsys, monkeypatch):
 
     def doctored(cluster, frac_digits=10):
         report = real_make_report(cluster, frac_digits)
-        return dataclasses.replace(report, phi_exact_ok=False)
+        return report._replace(phi_exact_ok=False)
 
     monkeypatch.setattr(cli, "make_report", doctored)
     code, out, _ = run(capsys, "scan", "--radius", "0")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -141,9 +140,9 @@ def test_verify_phi_holds_on_real_segments():
 
 def test_verify_phi_rejects_a_doctored_segment():
     segment = construct_segments(build_cluster(ORIGIN_VERTEX))[0]
-    shrunk = replace(segment, ob2=segment.ao2 / 4)
+    shrunk = segment._replace(ob2=segment.ao2 / 4)
     assert verify_phi(shrunk) == (True, False)
-    stretched = replace(segment, ab2=segment.ab2 * 2)
+    stretched = segment._replace(ab2=segment.ab2 * 2)
     assert verify_phi(stretched) == (False, True)
 
 
@@ -177,7 +176,7 @@ def test_report_json_shape():
 def test_report_on_a_doctored_segment_fails(monkeypatch):
     cluster = build_cluster(ORIGIN_VERTEX)
     first, *rest = construct_segments(cluster)
-    doctored = (replace(first, ab2=first.ab2 * 2), *rest)
+    doctored = (first._replace(ab2=first.ab2 * 2), *rest)
     monkeypatch.setattr(construction, "construct_segments", lambda _cluster: doctored)
     report = make_report(cluster, 10)
     assert report.segments == doctored
@@ -190,7 +189,7 @@ def test_report_on_a_doctored_segment_fails(monkeypatch):
 def test_construction_guards_raise_domain_errors():
     # a ValueError is a usage error to the CLI; an ArithmeticError such as
     # NotRepresentable would escape `main`
-    moved = replace(build_cluster(ORIGIN_VERTEX), o=Point(0, 0))
+    moved = build_cluster(ORIGIN_VERTEX)._replace(o=Point(0, 0))
     with pytest.raises(ValueError, match="vertex must lie on the middle circle"):
         construct_segments(moved)
 
