@@ -13,11 +13,17 @@ with even n lie below and rise toward it.  A convergent on the far side of
 phi from t is more than |t - phi| away, while some near-side convergent lies
 between phi and t and so comes closer.  The answer is therefore one of the
 two consecutive near-side convergents that bracket t.
+
+The walk along the near side starts two steps before an index estimated from
+|t - phi|, since the n-th convergent lies about 1/(sqrt5 F(n-1)^2) from phi.
+When the estimate overshoots the bracket, the walk starts over from the first
+near-side convergent, so the answer never rests on the estimate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -53,17 +59,46 @@ class Convergent(namedtuple("Convergent", "n fn fn_1")):
 
 
 def convergent(n: int) -> Convergent:
-    if n < 2:
+    return next(convergents(n))
+
+
+def convergents(start: int = 2) -> Iterator[Convergent]:
+    """The convergents for n = start, start + 1, ... in turn, from one running pair."""
+    if start < 2:
         raise ValueError("convergents start at n = 2")
-    return next(itertools.islice(convergents(), n - 2, None))
-
-
-def convergents() -> Iterator[Convergent]:
-    """The convergents for n = 2, 3, ... in turn, from one running pair."""
-    n, prev, cur = 2, 1, 1
+    n, (prev, cur) = start, _fib_pair(start - 1)
     while True:
         yield Convergent(n, cur, prev)
         n, prev, cur = n + 1, cur, prev + cur
+
+
+def _fib_pair(k: int) -> tuple[int, int]:
+    """(F(k), F(k+1)) by fast doubling, from F(0) = 0 and F(1) = 1:
+    F(2m) = F(m)(2F(m+1) - F(m)) and F(2m+1) = F(m)^2 + F(m+1)^2."""
+    a, b = 0, 1
+    for bit in bin(k)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
+
+
+# each convergent is about phi**2 times closer to phi than the one before it
+_INDEX_PER_BIT = 1 / (2 * math.log2((1 + math.sqrt(5)) / 2))
+_LOG2_SQRT5 = math.log2(5) / 2
+
+
+def _bracket_index(p: int, q: int) -> int:
+    """About the first n whose convergent is closer to phi than p/q is.
+
+    With s = 2p - q, |p/q - phi| = |s^2 - 5q^2| / (2q(s + q*sqrt5)), and the
+    n-th convergent lies about 1/(sqrt5 F(n-1)^2) = sqrt5 / phi^(2n-2) from
+    phi.  Bit lengths give both logarithms to within three bits, which is
+    about two indices.
+    """
+    s = 2 * p - q
+    bits = (2 * q).bit_length() + (s + 3 * q).bit_length() - (s * s - 5 * q * q).bit_length()
+    return 1 + int((bits + _LOG2_SQRT5) * _INDEX_PER_BIT)
 
 
 def variance(n: int, frac_digits: int = 10, rounding: str = HALF_EVEN) -> str:
@@ -76,22 +111,29 @@ def assess_nearest(value: str | Fraction | int) -> Convergent:
 
     `value` may be a rational string ("p/q" or a decimal with either
     separator) or an exact rational.  One field sign tells the target's side
-    of phi; the search walks that side's convergents up to the first one
-    between phi and the target and returns it or the one before it,
-    whichever is closer by cross-multiplied ints (see the module docstring).
+    of phi; the search walks that side's convergents, from two steps before
+    `_bracket_index`, up to the first one between phi and the target and
+    returns it or the one before it, whichever is closer by cross-multiplied
+    ints (see the module docstring).
     """
     target = parse_rational(value) if isinstance(value, str) else Fraction(value)
     if target <= 0:
         raise ValueError("ratio must be positive")
     p, q = target.numerator, target.denominator
     side = sign(QuadExt(target) - PHI)  # phi is irrational, so side != 0
-    before = None
-    for candidate in itertools.islice(convergents(), (1 + side) // 2, None, 2):
-        # gap has the sign of ratio - target, over the positive fn_1 * q
-        gap = candidate.fn * q - p * candidate.fn_1
-        if side * gap < 0:
+    first = 2 if side < 0 else 3
+    estimate = max(first, _bracket_index(p, q) - 4)
+    # walk again from the first near-side convergent only if the estimated start is past t
+    for start in (estimate - (estimate - first) % 2, first):
+        before = None
+        for candidate in itertools.islice(convergents(start), None, None, 2):
+            # gap has the sign of ratio - target, over the positive fn_1 * q
+            gap = candidate.fn * q - p * candidate.fn_1
+            if side * gap < 0:
+                break
+            before, before_gap = candidate, gap
+        if before is not None:
             break
-        before, before_gap = candidate, gap
     if before is not None and side * before_gap * candidate.fn_1 <= -side * gap * before.fn_1:
         return before
     return candidate

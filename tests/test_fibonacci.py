@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hexphi.exact import HALF_EVEN, PHI, TRUNCATE, QuadExt, sign
+import hexphi.fibonacci as fibonacci
+from hexphi.exact import HALF_EVEN, PHI, TRUNCATE, QuadExt, sign, to_decimal
 from hexphi.fibonacci import Convergent, assess_nearest, convergent, convergents, fib, variance
 
 
@@ -35,6 +36,10 @@ def test_convergent_examples():
     assert (eleventh.fn, eleventh.fn_1) == (89, 55)
     assert eleventh.ratio == Fraction(89, 55)
     assert convergent(12).ratio == Fraction(144, 89)
+    assert repr(eleventh) == "Convergent(n=11, fn=89, fn_1=55)"
+    assert hash(eleventh) == hash(tuple(eleventh)) == hash((11, 89, 55))
+    with pytest.raises(AttributeError):
+        eleventh.n = 12
 
 
 def test_convergents_run_through_convergent():
@@ -140,3 +145,40 @@ def test_assess_agrees_with_exhaustive_scan_seeded():
 def test_assess_far_targets_pick_extreme_convergents():
     assert assess_nearest(Fraction(1000)).n == 3  # largest ratio is F3/F2 = 2
     assert assess_nearest(Fraction(1, 1000)).n == 2  # smallest is F2/F1 = 1
+
+
+def _count_visits(monkeypatch) -> list[int]:
+    """From now on, count the convergents `assess_nearest` draws into the returned list."""
+    visits = [0]
+    real = fibonacci.convergents
+
+    def counting(start=2):
+        for candidate in real(start):
+            visits[0] += 1
+            yield candidate
+
+    monkeypatch.setattr(fibonacci, "convergents", counting)
+    return visits
+
+
+def test_assess_starts_at_its_bracket(monkeypatch):
+    # the longest Phi prefix a report hands over; a walk from n = 2 draws 10,285
+    target = Fraction(to_decimal(PHI, 4298))
+    visits = _count_visits(monkeypatch)
+    found = assess_nearest(target)
+    assert visits[0] <= 8
+    assert found.n == 10286
+    assert found == convergent(found.n)
+
+
+@pytest.mark.parametrize("overshoot", [6, 1000])
+def test_assess_survives_an_overshooting_estimate(monkeypatch, overshoot):
+    targets = [Fraction(to_decimal(PHI, digits)) for digits in (1, 5, 40, 100)]
+    targets += [Fraction(3, 2), Fraction(89, 55), Fraction(1000), Fraction(1, 1000)]
+    expected = [assess_nearest(target) for target in targets]
+    real = fibonacci._bracket_index
+    monkeypatch.setattr(fibonacci, "_bracket_index", lambda p, q: real(p, q) + overshoot)
+    assert [assess_nearest(target) for target in targets] == expected
+    assert [assess_nearest(target).n for target in targets] == [
+        _exhaustive_nearest(target, 600) for target in targets
+    ]
