@@ -435,6 +435,19 @@ def test_results_do_not_depend_on_earlier_calls(capsys, monkeypatch, tmp_path):
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == forwards[index]
 
 
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # modules, not milliseconds: what importing the CLI adds to a bare interpreter
+    script = ("import sys; bare = set(sys.modules); import hexphi.cli; "
+              "print(*set(sys.modules) - bare)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "hexphi.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "json"})
+
+
 def test_parser_is_built_on_the_first_call_only(capsys, monkeypatch):
     built = []
     real_init = argparse.ArgumentParser.__init__

@@ -37,11 +37,23 @@ def _as_float(x: QuadExt) -> float:
 def test_point_coerces_rationals():
     p = Point(1, Fraction(1, 2))
     assert p.x == QuadExt(1) and p.y == QuadExt(HALF)
+    assert repr(p) == (
+        "Point(x=QuadExt(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
+        "y=QuadExt(Fraction(1, 2), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)))"
+    )
+    assert hash(p) == hash(tuple(p)) == hash((QuadExt(1), QuadExt(HALF)))
+    with pytest.raises(AttributeError):
+        p.x = QuadExt(2)
 
 
 def test_param_line_rejects_zero_direction():
     with pytest.raises(ValueError):
         ParamLine(Point(0, 0), (QuadExt(0), QuadExt(0)))
+    line = ParamLine(Point(0, 0), (1, HALF))
+    assert line.dir == (QuadExt(1), QuadExt(HALF))
+    assert hash(line) == hash(tuple(line))
+    with pytest.raises(AttributeError):
+        line.dir = (QuadExt(1), QuadExt(0))
 
 
 def test_circle_rejects_nonpositive_radius():
@@ -49,6 +61,11 @@ def test_circle_rejects_nonpositive_radius():
         Circle(Point(0, 0), QuadExt(0))
     with pytest.raises(ValueError):
         Circle(Point(0, 0), QuadExt(-1))
+    circle = Circle(Point(0, 0), 2)
+    assert circle.radius == QuadExt(2)
+    assert hash(circle) == hash(tuple(circle))
+    with pytest.raises(AttributeError):
+        circle.radius = QuadExt(0)
 
 
 def test_point_at_walks_the_line():

@@ -30,6 +30,11 @@ def test_hex_index_validation_and_order():
         HexIndex(Fraction(1, 2), 0)
     assert HexIndex(0, 0) < HexIndex(1, -1) < HexIndex(1, 0)
     assert str(HexIndex(2, -1)) == "2,-1"
+    hexagon = HexIndex(2, -1)
+    assert repr(hexagon) == "HexIndex(q=2, r=-1)"
+    assert hash(hexagon) == hash(tuple(hexagon)) == hash((2, -1))
+    with pytest.raises(AttributeError):
+        hexagon.q = 0
 
 
 def test_hex_center_examples():
@@ -72,6 +77,12 @@ def test_vertex_ref_canonicalizes_aliases():
     assert VertexRef(HexIndex(1, 0), 4) == canonical
     assert VertexRef(HexIndex(1, -1), 2) == canonical
     assert str(canonical) == "0,0,0"
+    alias = VertexRef(HexIndex(1, 2), 3)
+    assert repr(alias) == "VertexRef(hex=HexIndex(q=0, r=2), corner=1)"
+    assert hash(alias) == hash(tuple(alias)) == hash((HexIndex(0, 2), 1))
+    assert canonical < VertexRef(HexIndex(0, 0), 1) < alias  # (q, r) first, then corner
+    with pytest.raises(AttributeError):
+        alias.corner = 2
 
 
 def test_vertex_ref_rejects_bad_corner():
