@@ -27,9 +27,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import PHI, QuadExt, format_fraction, positive_rational, sign, sqrt_exact, to_decimal
-from .fibonacci import Convergent, assess_nearest
-from .geometry import Circle, ParamLine, Point, tangent_lines_from_point
-from .tessellation import HexIndex, VertexRef, _center, _corner, incident_hexagons
+from .fibonacci import assess_nearest
+from .geometry import Circle, tangent_lines_from_point
+from .tessellation import VertexRef, _center, _corner, incident_hexagons
 
 _PHI_SQUARED = PHI * PHI
 
