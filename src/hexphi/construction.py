@@ -19,6 +19,12 @@ Both identities are checked multiplicatively on squared lengths
 (ab2 == phi**2 * ao2 and ao2 == phi**2 * ob2), which avoids division while
 still pinning the ratio, since all quantities are positive.  A, O and B are
 collinear, so ao2 = t_A^2*lead, ob2 = t_B^2*lead and ab2 = (t_A - t_B)^2*lead.
+
+Past lead and half, a line's solve (1/lead, t_A, the square root, t_B and
+the three squared lengths) depends on nothing else of the line, so one solve
+is shared by every line with equal (lead, half).  The six lines of a cluster
+come out with equal values, so a construction solves once; a line whose
+values differ gets its own solve.
 """
 
 from __future__ import annotations
@@ -26,7 +32,16 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import PHI, QuadExt, format_fraction, positive_rational, sign, sqrt_exact, to_decimal
+from .exact import (
+    PHI,
+    QuadExt,
+    as_quadext,
+    format_fraction,
+    positive_rational,
+    sign,
+    sqrt_exact,
+    to_decimal,
+)
 from .fibonacci import assess_nearest
 from .geometry import Circle, tangent_lines_from_point
 from .tessellation import VertexRef, _center, _corner, incident_hexagons
@@ -47,7 +62,7 @@ class Cluster(namedtuple("Cluster", "vertex side o centers")):
     @property
     def radii(self) -> tuple[QuadExt, QuadExt, QuadExt]:
         """The small, middle and large radius: side/2, side and 2*side."""
-        return QuadExt(self.side / 2), QuadExt(self.side), QuadExt(2 * self.side)
+        return as_quadext(self.side / 2), as_quadext(self.side), as_quadext(2 * self.side)
 
 
 class PhiSegment(namedtuple("PhiSegment", "k hex line a b ao2 ob2 ab2")):
@@ -110,11 +125,15 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
     tangent lines come ordered by direction angle.  On each line A is the
     middle-circle crossing other than O (Vieta) and B the large-circle
     crossing on the opposite side of O (the power of O, one square root).
+    Lines with equal ``(lead, half)`` share one solve within the call.
     """
     small, middle, large = cluster.radii
     middle2 = middle * middle
     # |O - C|^2 - (2*side)^2 once O is on the middle circle: -3*side^2, so O is inside
     const = middle2 - large * large
+    # ((lead, half), solution) pairs met so far in this call; hashing a
+    # rational QuadExt builds a Fraction, so a short list beats a dict
+    solved = []
     segments = []
     for hexagon, center in cluster.centers:
         wx = cluster.o.x - center.x
@@ -125,11 +144,14 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
             dx, dy = line.dir
             lead = dx * dx + dy * dy
             half = wx * dx + wy * dy
-            inv_lead = lead.inverse()
-            t_a = -(half + half) * inv_lead
-            root = sqrt_exact(half * half - lead * const)  # quarter discriminant, > 0
-            t_b = ((root if sign(t_a) < 0 else -root) - half) * inv_lead
-            t_ab = t_a - t_b
+            key = (lead, half)
+            for seen, solution in solved:
+                if seen == key:
+                    break
+            else:
+                solution = _solve(lead, half, const)
+                solved.append((key, solution))
+            t_a, t_b, ao2, ob2, ab2 = solution
             segments.append(
                 PhiSegment(
                     k=len(segments) + 1,
@@ -137,12 +159,28 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
                     line=line,
                     a=line.point_at(t_a),
                     b=line.point_at(t_b),
-                    ao2=t_a * t_a * lead,
-                    ob2=t_b * t_b * lead,
-                    ab2=t_ab * t_ab * lead,
+                    ao2=ao2,
+                    ob2=ob2,
+                    ab2=ab2,
                 )
             )
     return tuple(segments)
+
+
+def _solve(
+    lead: QuadExt, half: QuadExt, const: QuadExt
+) -> tuple[QuadExt, QuadExt, QuadExt, QuadExt, QuadExt]:
+    """t_A, t_B and the squared lengths ao2, ob2, ab2 on a line with these values.
+
+    Along the line the middle circle is ``lead*t^2 + 2*half*t = 0`` and the
+    large one ``lead*t^2 + 2*half*t + const = 0``, with ``const < 0``.
+    """
+    inv_lead = lead.inverse()
+    t_a = -(half + half) * inv_lead
+    root = sqrt_exact(half * half - lead * const)  # quarter discriminant, > 0
+    t_b = ((root if sign(t_a) < 0 else -root) - half) * inv_lead
+    t_ab = t_a - t_b
+    return t_a, t_b, t_a * t_a * lead, t_b * t_b * lead, t_ab * t_ab * lead
 
 
 def verify_phi(segment: PhiSegment) -> tuple[bool, bool]:

@@ -26,11 +26,15 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 
 HALF_EVEN = "half-even"
 TRUNCATE = "truncate"
 
 _ROUNDING_MODES = (HALF_EVEN, TRUNCATE)
+
+# bound once: the arithmetic methods call it for every result they build
+_object_new = object.__new__
 
 # Python converts no int of more than 4300 digits to or from a string
 # (sys.int_info.default_max_str_digits): the fraction digits of a decimal are
@@ -162,19 +166,58 @@ class QuadExt:
         return -self if sign(self) < 0 else self
 
     def __add__(self, other: QuadExt | int | Fraction) -> QuadExt:
-        o = _as_quadext(other)
-        if o is None:
-            return NotImplemented
-        return _sum(self, o._num, o._den)
+        """The sum, with Henrici's reduction.
+
+        With ``g = gcd(e1, e2)`` of the two denominators, the sum is
+        ``t / (e1*e2/g)`` for ``t = n1*(e2/g) + n2*(e1/g)``.  A prime that
+        divides ``e1/g`` or ``e2/g`` cannot divide all of t, since each term
+        is reduced, so the common factor of the sum is ``gcd(g, t)``: 1 when
+        the denominators are coprime.  `fractions` adds two ``Fraction``
+        values the same way.  `__sub__` is the same with the signs of
+        ``n2`` flipped.
+        """
+        if other.__class__ is not QuadExt:
+            other = _as_quadext(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, c1, d1 = self._num
+        a2, b2, c2, d2 = other._num
+        g = gcd(self._den, other._den)
+        s = self._den // g
+        t = other._den // g
+        a, b, c, d = a1 * t + a2 * s, b1 * t + b2 * s, c1 * t + c2 * s, d1 * t + d2 * s
+        den = s * other._den
+        if g != 1:
+            g = gcd(g, a, b, c, d)  # math.gcd stops at the first 1
+            if g != 1:
+                a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+        x = _object_new(QuadExt)
+        x._num = (a, b, c, d)
+        x._den = den
+        return x
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadExt | int | Fraction) -> QuadExt:
-        o = _as_quadext(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = o._num
-        return _sum(self, (-a, -b, -c, -d), o._den)
+        if other.__class__ is not QuadExt:
+            other = _as_quadext(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, c1, d1 = self._num
+        a2, b2, c2, d2 = other._num
+        g = gcd(self._den, other._den)
+        s = self._den // g
+        t = other._den // g
+        a, b, c, d = a1 * t - a2 * s, b1 * t - b2 * s, c1 * t - c2 * s, d1 * t - d2 * s
+        den = s * other._den
+        if g != 1:
+            g = gcd(g, a, b, c, d)
+            if g != 1:
+                a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+        x = _object_new(QuadExt)
+        x._num = (a, b, c, d)
+        x._den = den
+        return x
 
     def __rsub__(self, other: QuadExt | int | Fraction) -> QuadExt:
         o = _as_quadext(other)
@@ -183,18 +226,24 @@ class QuadExt:
         return o - self
 
     def __mul__(self, other: QuadExt | int | Fraction) -> QuadExt:
-        o = _as_quadext(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is not QuadExt:
+            other = _as_quadext(other)
+            if other is None:
+                return NotImplemented
         a1, b1, c1, d1 = self._num
-        a2, b2, c2, d2 = o._num
-        return _reduced(
-            a1 * a2 + 3 * b1 * b2 + 5 * c1 * c2 + 15 * d1 * d2,
-            a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-            self._den * o._den,
-        )
+        a2, b2, c2, d2 = other._num
+        a = a1 * a2 + 3 * b1 * b2 + 5 * c1 * c2 + 15 * d1 * d2
+        b = a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2)
+        c = a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2)
+        d = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+        den = self._den * other._den
+        g = gcd(den, a, b, c, d)
+        if g != 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+        x = _object_new(QuadExt)
+        x._num = (a, b, c, d)
+        x._den = den
+        return x
 
     __rmul__ = __mul__
 
@@ -274,7 +323,7 @@ class QuadExt:
 
 def _new(num: tuple[int, int, int, int], den: int) -> QuadExt:
     """The element ``num / den``; the caller guarantees the reduced form."""
-    x = object.__new__(QuadExt)
+    x = _object_new(QuadExt)
     x._num = num
     x._den = den
     return x
@@ -282,33 +331,10 @@ def _new(num: tuple[int, int, int, int], den: int) -> QuadExt:
 
 def _reduced(a: int, b: int, c: int, d: int, den: int) -> QuadExt:
     """``(a, b, c, d) / den`` for ``den > 0``, divided by the common gcd."""
-    g = math.gcd(den, a, b, c, d)
+    g = gcd(den, a, b, c, d)
     if g == 1:
         return _new((a, b, c, d), den)
     return _new((a // g, b // g, c // g, d // g), den // g)
-
-
-def _sum(x: QuadExt, num: tuple[int, int, int, int], den: int) -> QuadExt:
-    """``x + num/den`` for a reduced ``num/den``, with Henrici's reduction.
-
-    With ``g = gcd(e1, e2)`` of the two denominators, the sum is
-    ``t / (e1*e2/g)`` for ``t = n1*(e2/g) + n2*(e1/g)``.  A prime that
-    divides ``e1/g`` or ``e2/g`` cannot divide all of t, since each term is
-    reduced, so the common factor of the sum is ``gcd(g, t)``: 1 when the
-    denominators are coprime.  `fractions` adds two ``Fraction`` values the
-    same way.
-    """
-    a1, b1, c1, d1 = x._num
-    a2, b2, c2, d2 = num
-    e1 = x._den
-    g = math.gcd(e1, den)
-    s = e1 // g
-    t = den // g
-    a, b, c, d = a1 * t + a2 * s, b1 * t + b2 * s, c1 * t + c2 * s, d1 * t + d2 * s
-    g2 = math.gcd(g, a, b, c, d)  # math.gcd stops at the first 1
-    if g2 == 1:
-        return _new((a, b, c, d), s * den)
-    return _new((a // g2, b // g2, c // g2, d // g2), s * (den // g2))
 
 
 def _as_quadext(value: object) -> QuadExt | None:
@@ -321,10 +347,18 @@ def _as_quadext(value: object) -> QuadExt | None:
 
 def as_quadext(value: QuadExt | int | Fraction) -> QuadExt:
     """Coerce an int or Fraction to a field element; floats are rejected."""
+    if value.__class__ is QuadExt:
+        return value
     x = _as_quadext(value)
     if x is None:
         raise TypeError(f"cannot interpret {type(value).__name__} as a field element")
     return x
+
+
+def sqrt3_multiple(value: int | Fraction) -> QuadExt:
+    """``value * sqrt3`` for a rational `value`, built without a field product."""
+    value = _fraction(value)
+    return _new((0, value.numerator, 0, 0), value.denominator)
 
 
 ZERO = QuadExt()
@@ -386,12 +420,13 @@ def sqrt_exact(radicand: QuadExt | int | Fraction) -> QuadExt:
     if isinstance(radicand, QuadExt):
         if not radicand.is_rational:
             raise NotRepresentable("square root of an irrational field element is unsupported")
-        radicand = radicand.a
-    r = _fraction(radicand)
-    if r < 0:
+        n, d = radicand._num[0], radicand._den  # in lowest terms, as the reduced form is
+    else:
+        r = _fraction(radicand)
+        n, d = r.numerator, r.denominator
+    if n < 0:
         raise NegativeInput("square root of a negative rational")
-    d = r.denominator
-    nd = r.numerator * d
+    nd = n * d
     for position, k in enumerate((1, 3, 5, 15)):
         quotient, rest = divmod(nd, k)
         if not rest:
@@ -400,7 +435,7 @@ def sqrt_exact(radicand: QuadExt | int | Fraction) -> QuadExt:
                 num = [0, 0, 0, 0]
                 num[position] = s  # the coefficient of sqrt(k)
                 return _reduced(*num, d)
-    raise NotRepresentable(f"sqrt({r}) lies outside the field")
+    raise NotRepresentable(f"sqrt({Fraction(n, d)}) lies outside the field")
 
 
 def _rounded(num: int, den: int, rounding: str) -> int:
@@ -453,6 +488,8 @@ def to_decimal(
         scale = 10 ** (frac_digits + guard)
         lo = hi = a * scale
         for coeff, radicand in ((b, 3), (c, 5), (d, 15)):
+            if not coeff:
+                continue
             # root < sqrt(radicand) * scale < root + 1, strictly: the root is irrational
             root = math.isqrt(radicand * scale * scale)
             lo += coeff * (root if coeff >= 0 else root + 1)

@@ -26,7 +26,11 @@ class Point(namedtuple("Point", "x y")):
     __slots__ = ()
 
     def __new__(cls, x: QuadExt | int | Fraction, y: QuadExt | int | Fraction) -> Point:
-        return super().__new__(cls, as_quadext(x), as_quadext(y))
+        if x.__class__ is not QuadExt:
+            x = as_quadext(x)
+        if y.__class__ is not QuadExt:
+            y = as_quadext(y)
+        return super().__new__(cls, x, y)
 
     def to_json(self) -> dict[str, dict[str, str]]:
         return {"x": self.x.to_json(), "y": self.y.to_json()}
@@ -115,8 +119,9 @@ def tangent_lines_from_point(p: Point, circle: Circle) -> list[ParamLine]:
     cos_ux, sin_uy, sin_ux, cos_uy = cos_t * ux, sin_t * uy, sin_t * ux, cos_t * uy
     plus: Direction = (cos_ux - sin_uy, sin_ux + cos_uy)
     minus: Direction = (cos_ux + sin_uy, cos_uy - sin_ux)
-    ordered = sorted([plus, minus], key=direction_angle_key)
-    return [ParamLine(p, direction) for direction in ordered]
+    if compare_directions(plus, minus) > 0:
+        plus, minus = minus, plus
+    return [ParamLine(p, plus), ParamLine(p, minus)]
 
 
 def _direction_class(direction: Direction) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import MAX_DIGITS, QuadExt, positive_rational, quoted
+from .exact import MAX_DIGITS, as_quadext, positive_rational, quoted, sqrt3_multiple
 from .geometry import Point
 
 #: Axial steps to the six neighbors, listed by azimuth 30 + 60*i degrees.
@@ -96,14 +96,14 @@ def hex_center(hexagon: HexIndex, side: int | Fraction = 1) -> Point:
 def _center(hexagon: HexIndex, side: Fraction) -> Point:
     """side * (3q/2, (q/2 + r)*sqrt3) for a side checked by `positive_rational`."""
     p, den = side.numerator, 2 * side.denominator
-    x = QuadExt(Fraction(3 * hexagon.q * p, den))
-    y = QuadExt(0, Fraction((hexagon.q + 2 * hexagon.r) * p, den))
+    x = as_quadext(Fraction(3 * hexagon.q * p, den))
+    y = sqrt3_multiple(Fraction((hexagon.q + 2 * hexagon.r) * p, den))
     return Point(x, y)
 
 
 def _corner(center: Point, side: Fraction, k: int) -> Point:
     x, y = side * _CORNER_COS[k], side * _CORNER_SIN_SQRT3[k]
-    return Point(center.x + QuadExt(x), center.y + QuadExt(0, y))
+    return Point(center.x + x, center.y + sqrt3_multiple(y))
 
 
 def hex_corners(hexagon: HexIndex, side: int | Fraction = 1) -> list[Point]:

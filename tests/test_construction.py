@@ -215,12 +215,41 @@ def _count_field_operations(monkeypatch) -> dict[str, int]:
 
 def test_construction_field_operation_counts(monkeypatch):
     # bounds the work of one construction without timing it: the counts of
-    # the concentric solve, with one 1/dist per hexagon and one 1/lead per line
+    # the concentric solve, with one 1/dist per hexagon and one 1/lead per
+    # distinct (lead, half); the six lines of a cluster share one
     cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     counts = _count_field_operations(monkeypatch)
     construct_segments(cluster)
-    assert counts["mul"] <= 153
-    assert counts["inverse"] <= 9
+    assert counts["mul"] <= 103
+    assert counts["inverse"] <= 4
+
+
+def test_lines_share_a_solve_by_value_not_by_position(monkeypatch):
+    # a direction scaled by 2 is the same line with other (lead, half): it
+    # gets its own solve, one more inverse, and the same points and lengths
+    cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
+    counts = _count_field_operations(monkeypatch)
+    plain = construct_segments(cluster)
+    plain_inverses = counts["inverse"]
+    tangent_lines = construction.tangent_lines_from_point
+    scaled = []
+
+    def one_direction_doubled(p, circle):
+        lines = tangent_lines(p, circle)
+        if not scaled:
+            dx, dy = lines[1].dir
+            lines[1] = geometry.ParamLine(p, (dx * 2, dy * 2))
+            scaled.append(lines[1])
+        return lines
+
+    monkeypatch.setattr(construction, "tangent_lines_from_point", one_direction_doubled)
+    counts["inverse"] = 0
+    doubled = construct_segments(cluster)
+    assert counts["inverse"] == plain_inverses + 1
+    assert doubled[1].line is scaled[0] != plain[1].line
+    for before, after in zip(plain, doubled):
+        assert (after.a, after.b, after.ao2, after.ob2, after.ab2) == (
+            before.a, before.b, before.ao2, before.ob2, before.ab2)
 
 
 def test_verify_command_field_operation_counts(monkeypatch, capsys):
@@ -228,8 +257,8 @@ def test_verify_command_field_operation_counts(monkeypatch, capsys):
     counts = _count_field_operations(monkeypatch)
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert counts["mul"] <= 165
-    assert counts["inverse"] <= 9
+    assert counts["mul"] <= 115
+    assert counts["inverse"] <= 4
 
 
 def _count_sign_calls(monkeypatch) -> list[int]:
@@ -252,7 +281,7 @@ def test_sign_calls_per_verify_and_per_cluster(monkeypatch, capsys):
     assert len(calls) == 0
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert len(calls) <= 22
+    assert len(calls) <= 17
 
 
 def test_all_patch_vertices_verify():

@@ -16,6 +16,7 @@ from hexphi.exact import (
     SQRT15,
     TRUNCATE,
     ZERO,
+    NegativeInput,
     NotRepresentable,
     QuadExt,
     as_quadext,
@@ -227,13 +228,43 @@ def test_sqrt_exact_outside_field():
 
 
 def test_sqrt_exact_negative():
-    from hexphi.exact import NegativeInput
-
     assert issubclass(NegativeInput, ValueError)
     with pytest.raises(NegativeInput):
         sqrt_exact(-1)
     with pytest.raises(ValueError):
         sqrt_exact(Fraction(-1, 4))
+
+
+def test_sqrt_exact_messages_name_the_radicand():
+    for radicand in (Fraction(2, 3), QuadExt(Fraction(2, 3))):
+        with pytest.raises(NotRepresentable, match=r"^sqrt\(2/3\) lies outside the field$"):
+            sqrt_exact(radicand)
+    for radicand in (7, QuadExt(7)):
+        with pytest.raises(NotRepresentable, match=r"^sqrt\(7\) lies outside the field$"):
+            sqrt_exact(radicand)
+    for radicand in (-1, Fraction(-1, 4), QuadExt(Fraction(-1, 4))):
+        with pytest.raises(NegativeInput, match="^square root of a negative rational$"):
+            sqrt_exact(radicand)
+
+
+def test_sqrt_exact_rejects_an_irrational_radicand():
+    for radicand in (SQRT3, 4 * SQRT5, QuadExt(4, 0, 0, 1), PHI * PHI):
+        with pytest.raises(NotRepresentable, match="irrational field element"):
+            sqrt_exact(radicand)
+
+
+@given(st.fractions(min_value=Fraction(-30), max_value=Fraction(30), max_denominator=60))
+def test_sqrt_exact_reads_a_rational_quadext_as_its_fraction(r):
+    # the field element is read from its integer form, the Fraction as given
+    def outcome(radicand):
+        try:
+            return sqrt_exact(radicand)
+        except (NotRepresentable, NegativeInput) as error:
+            return type(error), str(error)
+
+    assert outcome(QuadExt(r)) == outcome(r)
+    assert outcome(QuadExt(r * r)) == outcome(r * r) == abs(QuadExt(r))
+    assert outcome(QuadExt(15 * r * r)) == outcome(15 * r * r) == abs(r) * SQRT15
 
 
 @given(st.fractions(min_value=Fraction(0), max_value=Fraction(30), max_denominator=20),

@@ -139,3 +139,21 @@ def test_decimal_of_thousand_digit_coefficients_settles_in_one_try(monkeypatch):
         monkeypatch.undo()
         assert len(calls) == 3
         assert rendered == expected
+
+
+def test_decimal_takes_no_root_for_a_zero_coefficient(monkeypatch):
+    # hex corners, centers and A points lie in Q(sqrt3): one isqrt each, not three
+    isqrt = math.isqrt
+    calls = []
+    monkeypatch.setattr(math, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    cases = [
+        (QuadExt(Fraction(5, 14), Fraction(-5, 14)), 1),
+        (QuadExt(0, 0, 3), 1),
+        (PHI, 1),
+        (QuadExt(1, 0, 2, -7), 2),
+    ]
+    for x, roots in cases:
+        calls.clear()
+        rendered = to_decimal(x, 30)
+        assert len(calls) == roots
+        assert rendered == bisection_oracle.to_decimal(x, 30, HALF_EVEN)
