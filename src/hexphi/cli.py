@@ -16,7 +16,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .construction import build_cluster, make_report, verify_phi
+from .construction import (
+    build_cluster, check_segments, construct_segments, make_report, verify_phi,
+)
 from .exact import (
     ECHO_CHARS, HALF_EVEN, MAX_DIGITS, TRUNCATE, format_fraction, parse_rational, quoted,
 )
@@ -138,8 +140,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     failures = []
     results = []
     for vertex in vertices:
-        report = make_report(build_cluster(vertex, args.side))
-        ok = report.phi_exact_ok and report.equal_lengths_ok
+        # a scan prints only the verdicts: no decimal ratio, no convergent search
+        segments = construct_segments(build_cluster(vertex, args.side))
+        ok = all(check_segments(segments))
         results.append((vertex, ok))
         if not ok:
             failures.append(vertex)

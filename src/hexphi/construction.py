@@ -20,11 +20,16 @@ Both identities are checked multiplicatively on squared lengths
 still pinning the ratio, since all quantities are positive.  A, O and B are
 collinear, so ao2 = t_A^2*lead, ob2 = t_B^2*lead and ab2 = (t_A - t_B)^2*lead.
 
-Past lead and half, a line's solve (1/lead, t_A, the square root, t_B and
-the three squared lengths) depends on nothing else of the line, so one solve
-is shared by every line with equal (lead, half).  The six lines of a cluster
-come out with equal values, so a construction solves once; a line whose
-values differ gets its own solve.
+Work is shared by value, never by position.  The tangent frame (|O - C|,
+the tangent length, their ratios and one inverse) depends only on |O - C|^2
+and the small radius, and the per-hexagon guard demands |O - C|^2 = side^2,
+so a construction takes one frame and turns it toward each of the three
+centers.  Past lead and half, a line's solve (1/lead, t_A, the square root,
+t_B and the three squared lengths) depends on nothing else of the line, so
+one solve is shared by every line with equal (lead, half), and the golden
+identities are checked once per distinct (ao2, ob2, ab2) triple.  The six
+lines of a cluster come out with equal values, so a verify solves and checks
+once; a line whose values differ gets its own solve and its own check.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .exact import (
     to_decimal,
 )
 from .fibonacci import assess_nearest
-from .geometry import Circle, tangent_lines_from_point
+from .geometry import Point, tangent_frame, tangent_lines_in_frame
 from .tessellation import VertexRef, _center, _corner, incident_hexagons
 
 _PHI_SQUARED = PHI * PHI
@@ -113,8 +118,9 @@ def build_cluster(vertex: VertexRef, side: int | Fraction = 1) -> Cluster:
     O lies on each middle circle because a hexagon's circumradius equals its side.
     """
     side = positive_rational("side", side)
-    o = _corner(_center(vertex.hex, side), side, vertex.corner)
-    centers = tuple((hexagon, _center(hexagon, side)) for hexagon in incident_hexagons(vertex))
+    hexagons = incident_hexagons(vertex)  # vertex.hex is one of them
+    centers = tuple((hexagon, _center(hexagon, side)) for hexagon in hexagons)
+    o = _corner(centers[hexagons.index(vertex.hex)][1], side, vertex.corner)
     return Cluster(vertex=vertex, side=side, o=o, centers=centers)
 
 
@@ -125,25 +131,31 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
     tangent lines come ordered by direction angle.  On each line A is the
     middle-circle crossing other than O (Vieta) and B the large-circle
     crossing on the opposite side of O (the power of O, one square root).
-    Lines with equal ``(lead, half)`` share one solve within the call.
+    One tangent frame serves the three hexagons, and lines with equal
+    ``(lead, half)`` share one solve within the call.
     """
     small, middle, large = cluster.radii
     middle2 = middle * middle
     # |O - C|^2 - (2*side)^2 once O is on the middle circle: -3*side^2, so O is inside
     const = middle2 - large * large
+    # the guard below demands |O - C|^2 == middle2 of every hexagon, so all
+    # three share the frame of a small circle at that distance
+    frame = tangent_frame(middle2, small)
+    o = cluster.o
+    ox, oy = o
     # ((lead, half), solution) pairs met so far in this call; hashing a
     # rational QuadExt builds a Fraction, so a short list beats a dict
     solved = []
     segments = []
     for hexagon, center in cluster.centers:
-        wx = cluster.o.x - center.x
-        wy = cluster.o.y - center.y
-        if wx * wx + wy * wy != middle2:
+        cx = center.x - ox
+        cy = center.y - oy
+        if cx * cx + cy * cy != middle2:
             raise ValueError(f"vertex must lie on the middle circle of hexagon {hexagon}")
-        for line in tangent_lines_from_point(cluster.o, Circle(center, small)):
+        for line in tangent_lines_in_frame(o, cx, cy, frame):
             dx, dy = line.dir
             lead = dx * dx + dy * dy
-            half = wx * dx + wy * dy
+            half = -(cx * dx + cy * dy)  # (O - C).dir
             key = (lead, half)
             for seen, solution in solved:
                 if seen == key:
@@ -157,8 +169,8 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
                     k=len(segments) + 1,
                     hex=hexagon,
                     line=line,
-                    a=line.point_at(t_a),
-                    b=line.point_at(t_b),
+                    a=Point._make((ox + t_a * dx, oy + t_a * dy)),
+                    b=Point._make((ox + t_b * dx, oy + t_b * dy)),
                     ao2=ao2,
                     ob2=ob2,
                     ab2=ab2,
@@ -191,18 +203,37 @@ def verify_phi(segment: PhiSegment) -> tuple[bool, bool]:
     )
 
 
-def make_report(cluster: Cluster, frac_digits: int = 10) -> PhiReport:
-    """Construct, verify and summarize one cluster.
+def check_segments(segments: tuple[PhiSegment, ...]) -> tuple[bool, bool]:
+    """(phi_exact_ok, equal_lengths_ok) of a cluster's segments.
 
-    ``phi_exact_ok`` demands both identities on all six segments;
-    ``equal_lengths_ok`` demands the six ab2 values be field-equal.  The
-    decimal ratio and its nearest Fibonacci convergent are reported only
-    when the golden identity holds, because only then is the ratio phi.
+    ``phi_exact_ok`` demands both identities on every segment, checked once
+    per distinct ``(ao2, ob2, ab2)`` triple; ``equal_lengths_ok`` demands all
+    ab2 values be field-equal.
     """
-    segments = construct_segments(cluster)
-    phi_exact_ok = all(all(verify_phi(segment)) for segment in segments)
+    phi_exact_ok = True
+    checked = []  # triples that passed; a short list, as in construct_segments
+    for segment in segments:
+        lengths = (segment.ao2, segment.ob2, segment.ab2)
+        if lengths in checked:
+            continue
+        if not all(verify_phi(segment)):
+            phi_exact_ok = False
+            break
+        checked.append(lengths)
     first_ab2 = segments[0].ab2
     equal_lengths_ok = all(segment.ab2 == first_ab2 for segment in segments[1:])
+    return phi_exact_ok, equal_lengths_ok
+
+
+def make_report(cluster: Cluster, frac_digits: int = 10) -> PhiReport:
+    """Construct, check and summarize one cluster.
+
+    The verdicts are those of `check_segments`.  The decimal ratio and its
+    nearest Fibonacci convergent are reported only when the golden identity
+    holds, because only then is the ratio phi.
+    """
+    segments = construct_segments(cluster)
+    phi_exact_ok, equal_lengths_ok = check_segments(segments)
     ratio_decimal = None
     fib_assessment = None
     if phi_exact_ok:

@@ -8,7 +8,10 @@ element, so tangency and membership are decided without tolerances.
 Square roots are taken through :func:`hexphi.exact.sqrt_exact`, which only
 accepts rational radicands.  The roots taken are a point's distance to a
 circle's center and its tangent length; one that would leave the field raises
-:class:`hexphi.exact.NotRepresentable`.
+:class:`hexphi.exact.NotRepresentable`.  Both roots, and the one inverse,
+depend only on that distance and the radius: `tangent_frame` takes them once,
+and `tangent_lines_in_frame` turns the frame toward each center, so circles
+of equal radius at equal distance share one frame.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import cmp_to_key
 from .exact import QuadExt, as_quadext, sign, sqrt_exact
 
 Direction = tuple[QuadExt, QuadExt]
+Frame = tuple[QuadExt, QuadExt, QuadExt]  # see tangent_frame
 
 
 class Point(namedtuple("Point", "x y")):
@@ -95,27 +99,41 @@ def tangent_lines_from_point(p: Point, circle: Circle) -> list[ParamLine]:
     """Tangent lines from `p` to `circle`, through `p`, sorted by direction angle.
 
     For a point on the circle there is a single tangent (the perpendicular to
-    the radius); for an exterior point the two tangent directions are the unit
-    vector toward the center rotated by +/-theta, with cos(theta) and
-    sin(theta) formed as exact ratios tangent_length/|pc| and radius/|pc|.
-    Raises PointInsideCircle for interior points and NotRepresentable when
-    |pc| or the tangent length is irrational in the field.
+    the radius); for an exterior point there are two, those of
+    `tangent_lines_in_frame`.  Raises as `tangent_frame` does.
     """
     cx = circle.center.x - p.x
     cy = circle.center.y - p.y
-    dist2 = cx * cx + cy * cy
-    reach2 = dist2 - circle.radius * circle.radius  # squared tangent length
+    frame = tangent_frame(cx * cx + cy * cy, circle.radius)
+    if frame is None:
+        return [ParamLine(p, (-cy, cx))]
+    return tangent_lines_in_frame(p, cx, cy, frame)
+
+
+def tangent_frame(dist2: QuadExt, radius: QuadExt) -> Frame | None:
+    """``(1/|pc|, cos(theta), sin(theta))`` for tangents from p to a circle of
+    `radius` about c, with ``|pc|**2 == dist2``; None when p is on the circle.
+
+    cos(theta) and sin(theta) are the exact ratios tangent_length/|pc| and
+    radius/|pc|.  Raises PointInsideCircle for an interior point and
+    NotRepresentable when |pc| or the tangent length is irrational in the field.
+    """
+    reach2 = dist2 - radius * radius  # squared tangent length
     outside = sign(reach2)
     if outside < 0:
         raise PointInsideCircle("no tangent from a point inside the circle")
     if outside == 0:
-        return [ParamLine(p, (-cy, cx))]
-    dist = sqrt_exact(dist2)
-    reach = sqrt_exact(reach2)
-    inv_dist = dist.inverse()
+        return None
+    inv_dist = sqrt_exact(dist2).inverse()
+    return inv_dist, sqrt_exact(reach2) * inv_dist, radius * inv_dist
+
+
+def tangent_lines_in_frame(p: Point, cx: QuadExt, cy: QuadExt, frame: Frame) -> list[ParamLine]:
+    """The two tangent lines through `p`, sorted by direction angle, toward a
+    center at offset ``(cx, cy)`` from `p`: the unit vector ``(cx, cy)/|pc|``
+    rotated by +/-theta, with `frame` from `tangent_frame`."""
+    inv_dist, cos_t, sin_t = frame
     ux, uy = cx * inv_dist, cy * inv_dist
-    cos_t = reach * inv_dist
-    sin_t = circle.radius * inv_dist
     cos_ux, sin_uy, sin_ux, cos_uy = cos_t * ux, sin_t * uy, sin_t * ux, cos_t * uy
     plus: Direction = (cos_ux - sin_uy, sin_ux + cos_uy)
     minus: Direction = (cos_ux + sin_uy, cos_uy - sin_ux)

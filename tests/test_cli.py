@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hexphi.cli as cli
+import hexphi.construction as construction
 from hexphi.cli import main
 from hexphi.exact import ECHO_CHARS, HALF_EVEN, MAX_DIGITS, PHI, TRUNCATE, to_decimal
 from hexphi.fibonacci import convergent, fib
@@ -149,17 +150,38 @@ def test_scan_json(capsys):
 
 
 def test_scan_reports_failures(capsys, monkeypatch):
-    real_make_report = cli.make_report
+    real_check_segments = cli.check_segments
 
-    def doctored(cluster, frac_digits=10):
-        report = real_make_report(cluster, frac_digits)
-        return report._replace(phi_exact_ok=False)
+    def doctored(segments):
+        _, equal_lengths_ok = real_check_segments(segments)
+        return False, equal_lengths_ok
 
-    monkeypatch.setattr(cli, "make_report", doctored)
+    monkeypatch.setattr(cli, "check_segments", doctored)
     code, out, _ = run(capsys, "scan", "--radius", "0")
     assert code == 1
     assert "failures = 6" in out
     assert "SCAN: FAIL" in out
+
+
+def test_scan_computes_no_ratio_and_searches_no_convergent(capsys, monkeypatch):
+    # a scan prints verdicts only, so it needs neither the decimal nor the search
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(construction, "assess_nearest",
+                        counted("assess_nearest", construction.assess_nearest))
+    monkeypatch.setattr(construction, "to_decimal", counted("to_decimal", construction.to_decimal))
+    code, out, _ = run(capsys, "scan", "--radius", "2")
+    assert (code, out.splitlines()[-1]) == (0, "SCAN: PASS")
+    assert calls == []
+    assert run(capsys, "verify")[0] == 0
+    assert calls == ["to_decimal", "assess_nearest"]
 
 
 @pytest.mark.parametrize("extra", [(), ("--json",)])

@@ -11,6 +11,7 @@ import hexphi.exact as exact
 import hexphi.fibonacci as fibonacci
 import hexphi.geometry as geometry
 import hexphi.render as render
+import hexphi.tessellation as tessellation
 from hexphi.construction import (
     PhiSegment,
     build_cluster,
@@ -18,7 +19,7 @@ from hexphi.construction import (
     make_report,
     verify_phi,
 )
-from hexphi.exact import MAX_DIGITS, PHI, QuadExt, sign, to_decimal
+from hexphi.exact import MAX_DIGITS, PHI, NotRepresentable, QuadExt, sign, sqrt_exact, to_decimal
 from hexphi.fibonacci import convergent
 from hexphi.geometry import (
     Circle,
@@ -26,6 +27,7 @@ from hexphi.geometry import (
     is_tangent,
     squared_distance,
     squared_distance_point_line,
+    tangent_lines_from_point,
 )
 from hexphi.tessellation import HexIndex, VertexRef, enumerate_vertices
 
@@ -57,6 +59,23 @@ def test_build_cluster_vertex_on_every_middle_circle():
     middle = cluster.radii[1]
     for _, center in cluster.centers:
         assert squared_distance(cluster.o, center) == middle**2
+
+
+def test_build_cluster_finds_each_center_once(monkeypatch):
+    # O is a corner of vertex.hex, which is one of the three incident hexagons
+    called = []
+    center = construction._center
+
+    def counted(hexagon, side):
+        called.append(hexagon)
+        return center(hexagon, side)
+
+    monkeypatch.setattr(construction, "_center", counted)
+    for vertex in (ORIGIN_VERTEX, VertexRef(HexIndex(2, -1), 3), VertexRef(HexIndex(-3, 1), 5)):
+        called.clear()
+        cluster = build_cluster(vertex, Fraction(5, 7))
+        assert called == [hexagon for hexagon, _ in cluster.centers]
+        assert cluster.o == tessellation.vertex_point(vertex, Fraction(5, 7))
 
 
 def test_build_cluster_input_validation():
@@ -173,6 +192,26 @@ def test_report_json_shape():
     assert first["A"]["x"].keys() == {"a", "b", "c", "d", "decimal"}
 
 
+def test_report_checks_every_distinct_triple(monkeypatch, capsys):
+    # segments that share a triple share one check, but a segment whose
+    # triple differs gets its own: doctoring the third alone must fail it
+    cluster = build_cluster(ORIGIN_VERTEX)
+    segments = construct_segments(cluster)
+    third = segments[2]
+    doctored = (*segments[:2], third._replace(ab2=third.ab2 * 2), *segments[3:])
+    monkeypatch.setattr(construction, "construct_segments", lambda _cluster: doctored)
+    report = make_report(cluster, 10)
+    assert not report.phi_exact_ok
+    assert not report.equal_lengths_ok
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("segment ")] == [
+        "segment 3: |AB|^2 == Phi^2 * |AO|^2 fails",
+    ]
+    assert "segments have 2 distinct |AB|^2 values" in out
+    assert "PHI-EXACT: FAIL" in out
+
+
 def test_report_on_a_doctored_segment_fails(monkeypatch):
     cluster = build_cluster(ORIGIN_VERTEX)
     first, *rest = construct_segments(cluster)
@@ -192,6 +231,36 @@ def test_construction_guards_raise_domain_errors():
     moved = build_cluster(ORIGIN_VERTEX)._replace(o=Point(0, 0))
     with pytest.raises(ValueError, match="vertex must lie on the middle circle"):
         construct_segments(moved)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("shift", [(Fraction(1, 3), 0), (0, QuadExt(0, 1)), (1, 1)])
+def test_a_moved_center_fails_its_own_guard(index, shift):
+    # the three hexagons share one tangent frame only because each guard
+    # holds; a center off that distance must stop at its guard, before any
+    # root of its own distance could raise NotRepresentable
+    cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
+    centers = list(cluster.centers)
+    hexagon, center = centers[index]
+    centers[index] = (hexagon, Point(center.x + shift[0], center.y + shift[1]))
+    moved = cluster._replace(centers=tuple(centers))
+    with pytest.raises(ValueError, match=f"middle circle of hexagon {hexagon}$") as raised:
+        construct_segments(moved)
+    assert not isinstance(raised.value, NotRepresentable)
+    assert raised.value.__context__ is None
+
+
+@pytest.mark.parametrize("side", [Fraction(1), Fraction(5, 7), Fraction(10**40, 3)])
+def test_lines_match_the_public_tangent_solver(side):
+    # the shared frame turned toward each center gives exactly the lines
+    # that the one-circle solver gives for that hexagon's small circle
+    for vertex in enumerate_vertices(3):
+        cluster = build_cluster(vertex, side)
+        centers = dict(cluster.centers)
+        segments = construct_segments(cluster)
+        for hexagon, center in cluster.centers:
+            lines = [segment.line for segment in segments if segment.hex == hexagon]
+            assert lines == tangent_lines_from_point(cluster.o, Circle(centers[hexagon], side / 2))
 
 
 def _count_field_operations(monkeypatch) -> dict[str, int]:
@@ -215,13 +284,13 @@ def _count_field_operations(monkeypatch) -> dict[str, int]:
 
 def test_construction_field_operation_counts(monkeypatch):
     # bounds the work of one construction without timing it: the counts of
-    # the concentric solve, with one 1/dist per hexagon and one 1/lead per
-    # distinct (lead, half); the six lines of a cluster share one
+    # the concentric solve, with one 1/dist for the shared tangent frame and
+    # one 1/lead per distinct (lead, half); the six lines of a cluster share one
     cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     counts = _count_field_operations(monkeypatch)
     construct_segments(cluster)
-    assert counts["mul"] <= 103
-    assert counts["inverse"] <= 4
+    assert counts["mul"] <= 91
+    assert counts["inverse"] <= 2
 
 
 def test_lines_share_a_solve_by_value_not_by_position(monkeypatch):
@@ -231,18 +300,18 @@ def test_lines_share_a_solve_by_value_not_by_position(monkeypatch):
     counts = _count_field_operations(monkeypatch)
     plain = construct_segments(cluster)
     plain_inverses = counts["inverse"]
-    tangent_lines = construction.tangent_lines_from_point
+    tangent_lines = construction.tangent_lines_in_frame
     scaled = []
 
-    def one_direction_doubled(p, circle):
-        lines = tangent_lines(p, circle)
+    def one_direction_doubled(p, cx, cy, frame):
+        lines = tangent_lines(p, cx, cy, frame)
         if not scaled:
             dx, dy = lines[1].dir
             lines[1] = geometry.ParamLine(p, (dx * 2, dy * 2))
             scaled.append(lines[1])
         return lines
 
-    monkeypatch.setattr(construction, "tangent_lines_from_point", one_direction_doubled)
+    monkeypatch.setattr(construction, "tangent_lines_in_frame", one_direction_doubled)
     counts["inverse"] = 0
     doubled = construct_segments(cluster)
     assert counts["inverse"] == plain_inverses + 1
@@ -253,35 +322,47 @@ def test_lines_share_a_solve_by_value_not_by_position(monkeypatch):
 
 
 def test_verify_command_field_operation_counts(monkeypatch, capsys):
-    # a whole `verify` checks each segment's identities once, in make_report
+    # a whole `verify` checks the identities once per distinct (ao2, ob2,
+    # ab2) triple, in make_report: one triple, so two muls
     counts = _count_field_operations(monkeypatch)
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert counts["mul"] <= 115
-    assert counts["inverse"] <= 4
+    assert counts["mul"] <= 93
+    assert counts["inverse"] <= 2
 
 
-def _count_sign_calls(monkeypatch) -> list[int]:
-    """From now on, count `sign` calls wherever a module binds the name."""
+def _count_calls(monkeypatch, function) -> list[int]:
+    """From now on, count calls to an `exact` function wherever a module binds its name."""
     calls = []
 
-    def counted_sign(value):
+    def counted(value):
         calls.append(1)
-        return sign(value)
+        return function(value)
 
-    for module in (exact, geometry, construction, render, fibonacci):
-        monkeypatch.setattr(module, "sign", counted_sign)
+    for module in (exact, geometry, construction, render, fibonacci, tessellation):
+        if getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
     return calls
 
 
 def test_sign_calls_per_verify_and_per_cluster(monkeypatch, capsys):
-    # a cluster is its centers and side: no circle to check, so no sign call
-    calls = _count_sign_calls(monkeypatch)
+    # a cluster is its centers and side: no circle to check, so no sign call;
+    # a verify checks the sign of the shared tangent length once, not per hexagon
+    calls = _count_calls(monkeypatch, sign)
     build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     assert len(calls) == 0
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert len(calls) <= 17
+    assert len(calls) <= 12
+
+
+def test_square_roots_per_verify(monkeypatch, capsys):
+    # |O - C| and the tangent length once for the shared frame, and one
+    # quarter discriminant per distinct (lead, half)
+    calls = _count_calls(monkeypatch, sqrt_exact)
+    assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
+    assert "PHI-EXACT: PASS" in capsys.readouterr().out
+    assert 0 < len(calls) <= 3
 
 
 def test_all_patch_vertices_verify():
