@@ -4,9 +4,9 @@ Fibonacci ratios closing in on phi
 
 """
 
-from hexphi import TRUNCATE, assess_nearest, convergent, fib, variance
+from hexphi import TRUNCATE, assess_nearest, convergent
 
-print("F(50) =", fib(50))
+print("F(50) =", convergent(50).fn)
 
 # consecutive ratios F(n)/F(n-1) approach phi from alternating sides
 print("n\tratio\t\tvariance from phi")
@@ -14,8 +14,8 @@ for n in range(2, 15):
     row = convergent(n)
     print(f"{n}\t{row.ratio_decimal(10, TRUNCATE)}\t{row.variance_decimal(10, TRUNCATE)}")
 
-# variance() is the shorthand for one entry of that last column
-print("variance at n=11:", variance(11, rounding=TRUNCATE))
+# one entry of that last column, on its own
+print("variance at n=11:", convergent(11).variance_decimal(10, TRUNCATE))
 
 # given a measured ratio, find the convergent it most resembles
 for target in ("1.6181818181", "1.618", "1.5", "2.0"):

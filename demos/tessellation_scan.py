@@ -6,7 +6,7 @@ Every tessellation vertex is a phi center
 
 from fractions import Fraction
 
-from hexphi import build_cluster, enumerate_vertices, make_report, vertex_point
+from hexphi import HexIndex, VertexRef, build_cluster, enumerate_vertices, make_report
 
 # all distinct vertices of the patch of hexagons with |q|,|r|,|q+r| <= 2
 vertices = enumerate_vertices(2)
@@ -22,11 +22,9 @@ print("failures:", failures)
 
 # a vertex can be addressed from any of its three incident hexagons;
 # aliases canonicalize to the same reference and the same point
-from hexphi import HexIndex, VertexRef
-
 a = VertexRef(HexIndex(0, 0), 0)
 b = VertexRef(HexIndex(1, -1), 2)
 c = VertexRef(HexIndex(1, 0), 4)
 print("aliases collapse:", a == b == c)
-point = vertex_point(a)
+point = build_cluster(a).o
 print("shared point: ({}, {})".format(point.x, point.y))

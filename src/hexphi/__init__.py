@@ -27,42 +27,20 @@ from .exact import (
     sqrt_exact,
     to_decimal,
 )
-from .fibonacci import Convergent, assess_nearest, convergent, convergents, fib, variance
-from .geometry import (
-    Circle,
-    ParamLine,
-    Point,
-    PointInsideCircle,
-    compare_directions,
-    direction_angle_key,
-    is_tangent,
-    squared_distance,
-    squared_distance_point_line,
-    tangent_lines_from_point,
-)
+from .fibonacci import Convergent, assess_nearest, convergent, convergents
+from .geometry import ParamLine, Point, compare_directions
 from .render import render_svg
-from .tessellation import (
-    NEIGHBOR_STEPS,
-    HexIndex,
-    VertexRef,
-    enumerate_vertices,
-    hex_center,
-    hex_corners,
-    incident_hexagons,
-    vertex_point,
-)
+from .tessellation import HexIndex, VertexRef, enumerate_vertices, hex_corners, incident_hexagons
 
 __version__ = "0.1.0"
 
 __all__ = [
     "HALF_EVEN",
-    "NEIGHBOR_STEPS",
     "PHI",
     "SQRT3",
     "SQRT5",
     "SQRT15",
     "TRUNCATE",
-    "Circle",
     "Cluster",
     "Convergent",
     "HexIndex",
@@ -72,7 +50,6 @@ __all__ = [
     "PhiReport",
     "PhiSegment",
     "Point",
-    "PointInsideCircle",
     "QuadExt",
     "VertexRef",
     "as_quadext",
@@ -82,25 +59,16 @@ __all__ = [
     "construct_segments",
     "convergent",
     "convergents",
-    "direction_angle_key",
     "enumerate_vertices",
-    "fib",
     "format_fraction",
-    "hex_center",
     "hex_corners",
     "incident_hexagons",
-    "is_tangent",
     "make_report",
     "parse_rational",
     "render_svg",
     "sign",
     "sqrt_exact",
-    "squared_distance",
-    "squared_distance_point_line",
-    "tangent_lines_from_point",
     "to_decimal",
-    "variance",
-    "vertex_point",
     "verify_phi",
     "__version__",
 ]

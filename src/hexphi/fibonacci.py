@@ -31,13 +31,6 @@ from fractions import Fraction
 from .exact import HALF_EVEN, PHI, QuadExt, parse_rational, sign, to_decimal
 
 
-def fib(n: int) -> int:
-    """F(n) with F(1) = F(2) = 1."""
-    if n < 1:
-        raise ValueError("Fibonacci index starts at 1")
-    return convergent(n + 1).fn_1
-
-
 class Convergent(namedtuple("Convergent", "n fn fn_1")):
     """The n-th convergent, F(n)/F(n-1), held as n, F(n) and F(n-1)."""
 
@@ -99,11 +92,6 @@ def _bracket_index(p: int, q: int) -> int:
     s = 2 * p - q
     bits = (2 * q).bit_length() + (s + 3 * q).bit_length() - (s * s - 5 * q * q).bit_length()
     return 1 + int((bits + _LOG2_SQRT5) * _INDEX_PER_BIT)
-
-
-def variance(n: int, frac_digits: int = 10, rounding: str = HALF_EVEN) -> str:
-    """Decimal rendering of the n-th convergent's distance to the golden ratio."""
-    return convergent(n).variance_decimal(frac_digits, rounding)
 
 
 def assess_nearest(value: str | Fraction | int) -> Convergent:

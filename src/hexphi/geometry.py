@@ -1,24 +1,25 @@
-"""Exact plane geometry over the field: points, parametric lines, circles.
+"""Exact plane geometry over the field: points, parametric lines, the tangent
+frame, angular ordering.
 
 Lines are parametric, ``origin + t * dir``, with no unit-length requirement on
-``dir``; line parameters are therefore relative to ``|dir|``.  Every
-predicate reduces to a coefficient comparison or to the exact sign of a field
-element, so tangency and membership are decided without tolerances.
+``dir``; line parameters are therefore relative to ``|dir|``.  Angular order
+reduces to the exact sign of a field element, so it is decided without
+tolerances.
 
 Square roots are taken through :func:`hexphi.exact.sqrt_exact`, which only
 accepts rational radicands.  The roots taken are a point's distance to a
 circle's center and its tangent length; one that would leave the field raises
 :class:`hexphi.exact.NotRepresentable`.  Both roots, and the one inverse,
-depend only on that distance and the radius: `tangent_frame` takes them once,
-and `tangent_lines_in_frame` turns the frame toward each center, so circles
-of equal radius at equal distance share one frame.
+depend only on that distance and the radius: `tangent_frame` takes them once
+and returns a `Frame`, and `tangent_lines_in_frame` turns the frame toward
+each center, so circles of equal radius at equal distance share one frame.
+The point must lie outside the circle, as the construction's vertex does.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .exact import QuadExt, as_quadext, sign, sqrt_exact
 
@@ -53,77 +54,18 @@ class ParamLine(namedtuple("ParamLine", "origin dir")):
             raise ValueError("line direction must be nonzero")
         return super().__new__(cls, origin, (dx, dy))
 
-    def point_at(self, t: QuadExt | int | Fraction) -> Point:
-        t = as_quadext(t)
-        return Point(self.origin.x + t * self.dir[0], self.origin.y + t * self.dir[1])
 
-
-class Circle(namedtuple("Circle", "center radius")):
-    __slots__ = ()
-
-    def __new__(cls, center: Point, radius: QuadExt | int | Fraction) -> Circle:
-        radius = as_quadext(radius)
-        if sign(radius) <= 0:
-            raise ValueError("circle radius must be positive")
-        return super().__new__(cls, center, radius)
-
-
-class PointInsideCircle(ValueError):
-    """No tangent line exists from a point strictly inside a circle."""
-
-
-def squared_distance(p: Point, q: Point) -> QuadExt:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy
-
-
-def squared_distance_point_line(p: Point, line: ParamLine) -> QuadExt:
-    """Squared distance from `p` to the (infinite) line.
-
-    cross(dir, p - origin)**2 / |dir|**2, a rational function of the inputs,
-    so the result stays in the field.
-    """
-    dx, dy = line.dir
-    wx = p.x - line.origin.x
-    wy = p.y - line.origin.y
-    cross = dx * wy - dy * wx
-    return cross * cross / (dx * dx + dy * dy)
-
-
-def is_tangent(line: ParamLine, circle: Circle) -> bool:
-    return squared_distance_point_line(circle.center, line) == circle.radius * circle.radius
-
-
-def tangent_lines_from_point(p: Point, circle: Circle) -> list[ParamLine]:
-    """Tangent lines from `p` to `circle`, through `p`, sorted by direction angle.
-
-    For a point on the circle there is a single tangent (the perpendicular to
-    the radius); for an exterior point there are two, those of
-    `tangent_lines_in_frame`.  Raises as `tangent_frame` does.
-    """
-    cx = circle.center.x - p.x
-    cy = circle.center.y - p.y
-    frame = tangent_frame(cx * cx + cy * cy, circle.radius)
-    if frame is None:
-        return [ParamLine(p, (-cy, cx))]
-    return tangent_lines_in_frame(p, cx, cy, frame)
-
-
-def tangent_frame(dist2: QuadExt, radius: QuadExt) -> Frame | None:
+def tangent_frame(dist2: QuadExt, radius: QuadExt) -> Frame:
     """``(1/|pc|, cos(theta), sin(theta))`` for tangents from p to a circle of
-    `radius` about c, with ``|pc|**2 == dist2``; None when p is on the circle.
+    `radius` about c, with ``|pc|**2 == dist2``.
 
     cos(theta) and sin(theta) are the exact ratios tangent_length/|pc| and
-    radius/|pc|.  Raises PointInsideCircle for an interior point and
-    NotRepresentable when |pc| or the tangent length is irrational in the field.
+    radius/|pc|.  p must lie outside the circle: for an interior point the
+    squared tangent length is negative and `sqrt_exact` raises NegativeInput.
+    Raises NotRepresentable when |pc| or the tangent length is irrational in
+    the field.
     """
     reach2 = dist2 - radius * radius  # squared tangent length
-    outside = sign(reach2)
-    if outside < 0:
-        raise PointInsideCircle("no tangent from a point inside the circle")
-    if outside == 0:
-        return None
     inv_dist = sqrt_exact(dist2).inverse()
     return inv_dist, sqrt_exact(reach2) * inv_dist, radius * inv_dist
 
@@ -162,6 +104,3 @@ def compare_directions(d1: Direction, d2: Direction) -> int:
     cross = d1[0] * d2[1] - d1[1] * d2[0]
     return -sign(cross)
 
-
-#: Sort key ordering directions by angle in [0, 2*pi), decided exactly.
-direction_angle_key = cmp_to_key(compare_directions)

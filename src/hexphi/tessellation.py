@@ -20,7 +20,7 @@ from .exact import MAX_DIGITS, as_quadext, positive_rational, quoted, sqrt3_mult
 from .geometry import Point
 
 #: Axial steps to the six neighbors, listed by azimuth 30 + 60*i degrees.
-NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+_NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 _HALF = Fraction(1, 2)
 # corner k offset from the center: side * (cos 60k, sin 60k),
@@ -43,7 +43,7 @@ class HexIndex(namedtuple("HexIndex", "q r")):
 
 def _names(q: int, r: int, corner: int) -> tuple[tuple[int, int, int], ...]:
     """The three ``(q, r, corner)`` names of one vertex, this one first."""
-    (q1, r1), (q2, r2) = NEIGHBOR_STEPS[(corner - 1) % 6], NEIGHBOR_STEPS[corner]
+    (q1, r1), (q2, r2) = _NEIGHBOR_STEPS[(corner - 1) % 6], _NEIGHBOR_STEPS[corner]
     return (
         (q, r, corner),
         (q + q1, r + r1, (corner + 2) % 6),
@@ -89,10 +89,6 @@ class VertexRef(namedtuple("VertexRef", "hex corner")):
         return f"{self.hex.q},{self.hex.r},{self.corner}"
 
 
-def hex_center(hexagon: HexIndex, side: int | Fraction = 1) -> Point:
-    return _center(hexagon, positive_rational("side", side))
-
-
 def _center(hexagon: HexIndex, side: Fraction) -> Point:
     """side * (3q/2, (q/2 + r)*sqrt3) for a side checked by `positive_rational`."""
     p, den = side.numerator, 2 * side.denominator
@@ -111,11 +107,6 @@ def hex_corners(hexagon: HexIndex, side: int | Fraction = 1) -> list[Point]:
     side = positive_rational("side", side)
     center = _center(hexagon, side)
     return [_corner(center, side, k) for k in range(6)]
-
-
-def vertex_point(vertex: VertexRef, side: int | Fraction = 1) -> Point:
-    side = positive_rational("side", side)
-    return _corner(_center(vertex.hex, side), side, vertex.corner)
 
 
 def incident_hexagons(vertex: VertexRef) -> tuple[HexIndex, HexIndex, HexIndex]:

@@ -174,21 +174,6 @@ class QuadExt:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, exponent: int) -> QuadExt:
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __lt__(self, other: QuadExt | int | Fraction) -> bool:
         return sign(self - other) < 0
 

@@ -11,7 +11,7 @@ import hexphi.cli as cli
 import hexphi.construction as construction
 from hexphi.cli import main
 from hexphi.exact import ECHO_CHARS, HALF_EVEN, MAX_DIGITS, PHI, TRUNCATE, to_decimal
-from hexphi.fibonacci import convergent, fib
+from hexphi.fibonacci import convergent
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "cluster_default.svg"
@@ -263,7 +263,8 @@ def test_fib_max_must_be_at_least_two(capsys):
 
 
 def test_max_fib_index_is_last_row_that_prints():
-    assert fib(cli.MAX_FIB_INDEX) < 10**MAX_DIGITS <= fib(cli.MAX_FIB_INDEX + 1)
+    last, first_too_long = convergent(cli.MAX_FIB_INDEX + 1), convergent(cli.MAX_FIB_INDEX + 2)
+    assert last.fn_1 < 10**MAX_DIGITS <= first_too_long.fn_1
 
 
 @pytest.mark.parametrize("extra", [(), ("--json",)])

@@ -12,6 +12,7 @@ import hexphi.fibonacci as fibonacci
 import hexphi.geometry as geometry
 import hexphi.render as render
 import hexphi.tessellation as tessellation
+from geometry_checks import is_tangent, squared_distance, squared_distance_point_line
 from hexphi.construction import (
     PhiSegment,
     build_cluster,
@@ -21,15 +22,8 @@ from hexphi.construction import (
 )
 from hexphi.exact import MAX_DIGITS, PHI, NotRepresentable, QuadExt, sign, sqrt_exact, to_decimal
 from hexphi.fibonacci import convergent
-from hexphi.geometry import (
-    Circle,
-    Point,
-    is_tangent,
-    squared_distance,
-    squared_distance_point_line,
-    tangent_lines_from_point,
-)
-from hexphi.tessellation import HexIndex, VertexRef, enumerate_vertices
+from hexphi.geometry import Point, tangent_frame, tangent_lines_in_frame
+from hexphi.tessellation import HexIndex, VertexRef, enumerate_vertices, hex_corners
 
 HALF = Fraction(1, 2)
 ORIGIN_VERTEX = VertexRef(HexIndex(0, 0), 0)
@@ -58,7 +52,7 @@ def test_build_cluster_vertex_on_every_middle_circle():
     cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     middle = cluster.radii[1]
     for _, center in cluster.centers:
-        assert squared_distance(cluster.o, center) == middle**2
+        assert squared_distance(cluster.o, center) == middle * middle
 
 
 def test_build_cluster_finds_each_center_once(monkeypatch):
@@ -75,7 +69,7 @@ def test_build_cluster_finds_each_center_once(monkeypatch):
         called.clear()
         cluster = build_cluster(vertex, Fraction(5, 7))
         assert called == [hexagon for hexagon, _ in cluster.centers]
-        assert cluster.o == tessellation.vertex_point(vertex, Fraction(5, 7))
+        assert cluster.o == hex_corners(vertex.hex, Fraction(5, 7))[vertex.corner]
 
 
 def test_build_cluster_input_validation():
@@ -119,7 +113,7 @@ def test_lines_are_tangent_to_their_small_circles():
     centers = dict(cluster.centers)
     small = cluster.radii[0]
     for segment in segments:
-        assert is_tangent(segment.line, Circle(centers[segment.hex], small))
+        assert is_tangent(segment.line, centers[segment.hex], small)
 
 
 def test_endpoints_lie_on_their_circles():
@@ -127,8 +121,8 @@ def test_endpoints_lie_on_their_circles():
     centers = dict(cluster.centers)
     _, middle, large = cluster.radii
     for segment in construct_segments(cluster):
-        assert squared_distance(segment.a, centers[segment.hex]) == middle**2
-        assert squared_distance(segment.b, centers[segment.hex]) == large**2
+        assert squared_distance(segment.a, centers[segment.hex]) == middle * middle
+        assert squared_distance(segment.b, centers[segment.hex]) == large * large
 
 
 def test_o_lies_strictly_between_a_and_b():
@@ -253,14 +247,15 @@ def test_a_moved_center_fails_its_own_guard(index, shift):
 @pytest.mark.parametrize("side", [Fraction(1), Fraction(5, 7), Fraction(10**40, 3)])
 def test_lines_match_the_public_tangent_solver(side):
     # the shared frame turned toward each center gives exactly the lines
-    # that the one-circle solver gives for that hexagon's small circle
+    # that each hexagon's own frame, from its own distance to O, gives
     for vertex in enumerate_vertices(3):
         cluster = build_cluster(vertex, side)
-        centers = dict(cluster.centers)
         segments = construct_segments(cluster)
         for hexagon, center in cluster.centers:
             lines = [segment.line for segment in segments if segment.hex == hexagon]
-            assert lines == tangent_lines_from_point(cluster.o, Circle(centers[hexagon], side / 2))
+            cx, cy = center.x - cluster.o.x, center.y - cluster.o.y
+            frame = tangent_frame(cx * cx + cy * cy, QuadExt(side / 2))
+            assert lines == tangent_lines_in_frame(cluster.o, cx, cy, frame)
 
 
 def _count_field_operations(monkeypatch) -> dict[str, int]:
@@ -347,13 +342,14 @@ def _count_calls(monkeypatch, function) -> list[int]:
 
 def test_sign_calls_per_verify_and_per_cluster(monkeypatch, capsys):
     # a cluster is its centers and side: no circle to check, so no sign call;
-    # a verify checks the sign of the shared tangent length once, not per hexagon
+    # the tangent frame takes no sign either, since O is always outside the
+    # small circles (a negative squared tangent length fails in sqrt_exact)
     calls = _count_calls(monkeypatch, sign)
     build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     assert len(calls) == 0
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert len(calls) <= 12
+    assert len(calls) <= 11
 
 
 def test_square_roots_per_verify(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import bisection_oracle
 from hexphi.exact import HALF_EVEN, PHI, TRUNCATE, QuadExt, sign, to_decimal
-from hexphi.fibonacci import fib
+from hexphi.fibonacci import convergent
 
 
 @st.composite
@@ -50,7 +50,7 @@ def _pell(count: int):
 
 # each value is within 1/q**2 or so of zero, with a known sign
 NEAR_ZERO = (
-    [(QuadExt(Fraction(fib(n), fib(n - 1))) - PHI, 1 if n % 2 else -1) for n in range(2, 301)]
+    [(QuadExt(convergent(n).ratio) - PHI, 1 if n % 2 else -1) for n in range(2, 301)]
     + [(QuadExt(p, -q), 1) for p, q in _pell(60)]
     + [(QuadExt(0, 0, p, -q), 1) for p, q in _pell(60)]
 )

@@ -8,25 +8,21 @@ from hypothesis import strategies as st
 
 import hexphi.fibonacci as fibonacci
 from hexphi.exact import HALF_EVEN, PHI, TRUNCATE, QuadExt, sign, to_decimal
-from hexphi.fibonacci import Convergent, assess_nearest, convergent, convergents, fib, variance
+from hexphi.fibonacci import Convergent, assess_nearest, convergent, convergents
 
 
 def test_fib_base_and_known_values():
-    assert [fib(n) for n in range(1, 11)] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
-    assert fib(11) == 89
-    assert fib(50) == 12586269025
-
-
-def test_fib_rejects_index_below_one():
-    with pytest.raises(ValueError):
-        fib(0)
+    # F(n) is the denominator of convergent n + 1
+    assert [convergent(n + 1).fn_1 for n in range(1, 11)] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    assert convergent(12).fn_1 == 89
+    assert convergent(51).fn_1 == 12586269025
 
 
 def test_fib_matches_recurrence_oracle():
     prev, cur = 1, 1
     for n in range(3, 60):
         prev, cur = cur, prev + cur
-        assert fib(n) == cur
+        assert convergent(n + 1).fn_1 == cur
 
 
 def test_convergent_examples():
@@ -60,8 +56,8 @@ def test_eleventh_convergent_decimals():
 
 
 def test_variance_shorthand():
-    assert variance(11) == "0.0001478294"
-    assert variance(2, 4) == "0.6180"
+    assert convergent(11).variance_decimal(10) == "0.0001478294"
+    assert convergent(2).variance_decimal(4) == "0.6180"
 
 
 def test_variance_is_strictly_decreasing():
@@ -79,7 +75,8 @@ def test_convergents_alternate_around_phi():
 
 def test_determinant_identity():
     for n in range(3, 41):
-        lhs = fib(n) * fib(n - 2) - fib(n - 1) ** 2
+        fn, fn_1, fn_2 = convergent(n).fn, convergent(n).fn_1, convergent(n - 1).fn_1
+        lhs = fn * fn_2 - fn_1 * fn_1
         assert lhs == (-1) ** (n - 1)
 
 

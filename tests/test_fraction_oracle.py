@@ -23,7 +23,7 @@ from hexphi.exact import (
     sqrt_exact,
     to_decimal,
 )
-from hexphi.fibonacci import assess_nearest, fib
+from hexphi.fibonacci import assess_nearest, convergent
 
 
 @st.composite
@@ -62,15 +62,6 @@ def test_field_operations_match_fraction_kernel(p, q):
         assert _coeffs(x / y) == _coeffs(x_old / y_old)
         assert _coeffs(y.inverse()) == _coeffs(y_old.inverse())
     assert sign(x - y) == fraction_oracle.sign(x_old - y_old)
-
-
-@settings(max_examples=60)
-@given(QUADRUPLES, st.integers(-3, 5))
-def test_powers_match_fraction_kernel(p, exponent):
-    x, x_old = _pair(p)
-    if exponent < 0 and x.is_zero:
-        return
-    assert _coeffs(x**exponent) == _coeffs(x_old**exponent)
 
 
 @settings(max_examples=100)
@@ -160,7 +151,7 @@ def test_assess_nearest_matches_old_loop_on_phi_prefixes():
 def _chosen_rationals():
     """Exact convergents, midpoints of same-side pairs (ties) and those
     midpoints moved by 10**-30 either way, and targets far from phi."""
-    ratios = [Fraction(fib(n), fib(n - 1)) for n in range(2, 64)]
+    ratios = [convergent(n).ratio for n in range(2, 64)]
     yield from ratios
     shift = Fraction(1, 10**30)
     for low, high in zip(ratios, ratios[2:]):

@@ -6,23 +6,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geometry_checks import squared_distance
 from hexphi.exact import QuadExt, sign
-from hexphi.geometry import Point, squared_distance
-from hexphi.tessellation import (
-    HexIndex,
-    VertexRef,
-    enumerate_vertices,
-    hex_center,
-    hex_corners,
-    incident_hexagons,
-    vertex_point,
-)
+from hexphi.geometry import Point
+from hexphi.tessellation import HexIndex, VertexRef, enumerate_vertices, hex_corners, incident_hexagons
 
 HALF = Fraction(1, 2)
 
 AXIAL = st.integers(min_value=-6, max_value=6)
 CORNERS = st.integers(min_value=0, max_value=5)
 SIDES = st.fractions(min_value=Fraction(1, 5), max_value=Fraction(5), max_denominator=10)
+
+
+def hex_center(hexagon: HexIndex, side: int | Fraction = 1) -> Point:
+    """The midpoint of opposite corners 0 and 3."""
+    corners = hex_corners(hexagon, side)
+    return Point((corners[0].x + corners[3].x) / 2, (corners[0].y + corners[3].y) / 2)
+
+
+def vertex_point(vertex: VertexRef, side: int | Fraction = 1) -> Point:
+    """The vertex as a corner of its canonical hexagon."""
+    return hex_corners(vertex.hex, side)[vertex.corner]
 
 
 def test_hex_index_validation_and_order():
