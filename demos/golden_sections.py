@@ -4,7 +4,8 @@ Six tangent segments, all divided by phi at the shared vertex
 
 """
 
-from hexphi import HexIndex, VertexRef, build_cluster, construct_segments, make_report, verify_phi
+from hexphi import (PHI, HexIndex, VertexRef, build_cluster, construct_segments, make_report,
+                    to_decimal, verify_phi)
 
 # three hexagons meet at corner 0 of the hexagon at axial (0, 0)
 cluster = build_cluster(VertexRef(HexIndex(0, 0), 0), side=1)
@@ -23,8 +24,8 @@ for segment in segments:
         f"AB = phi*AO: {ab_ok}, AO = phi*OB: {ao_ok}",
     )
 
-# the report bundles the verdicts with decimal renderings
-report = make_report(cluster, frac_digits=12)
+# the report holds the verdicts; once they pass, the ratio is phi itself
+report = make_report(cluster)
 print("phi exact on all six:", report.phi_exact_ok)
 print("all six lengths equal:", report.equal_lengths_ok)
-print("AB/AO = AO/OB =", report.ratio_decimal)
+print("AB/AO = AO/OB =", to_decimal(PHI, 12))

@@ -16,11 +16,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .construction import (
-    build_cluster, check_segments, construct_segments, make_report, verify_phi,
-)
+from .construction import build_cluster, make_report, verify_phi
 from .exact import (
-    ECHO_CHARS, HALF_EVEN, MAX_DIGITS, TRUNCATE, format_fraction, parse_rational, quoted,
+    ECHO_CHARS, HALF_EVEN, MAX_DIGITS, PHI, TRUNCATE, format_fraction, parse_rational, quoted,
+    to_decimal,
 )
 from .fibonacci import assess_nearest, convergents
 from .render import render_svg
@@ -102,11 +101,25 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cluster = build_cluster(args.vertex, args.side)
-    report = make_report(cluster, frac_digits=args.digits)
+    report = make_report(build_cluster(args.vertex, args.side))
     ok = report.phi_exact_ok and report.equal_lengths_ok
+    # the decimal ratio and its nearest Fibonacci convergent are reported
+    # only when the golden identity holds, because only then is the ratio phi
+    ratio_decimal = nearest = None
+    if report.phi_exact_ok:
+        ratio_decimal = to_decimal(PHI, args.digits)
+        # at 4300 digits the decimal's numerator has 4301, more than
+        # parse_rational accepts from a user; Fraction reads it in two parts
+        nearest = assess_nearest(Fraction(ratio_decimal))
     if args.json:
-        _print_json(report.to_json())
+        payload = report.to_json()
+        payload["ratio_decimal"] = ratio_decimal
+        payload["fibonacci"] = None if nearest is None else {
+            "n": nearest.n,
+            "ratio": format_fraction(nearest.ratio),
+            "variance": nearest.variance_decimal(args.digits),
+        }
+        _print_json(payload)
         return 0 if ok else 1
     print(f"vertex = {report.cluster.vertex}")
     print(f"side = {format_fraction(report.cluster.side)}")
@@ -121,10 +134,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not report.equal_lengths_ok:
         distinct = len({segment.ab2 for segment in report.segments})
         print(f"segments have {distinct} distinct |AB|^2 values")
-    if report.ratio_decimal is not None:
-        print(f"ratio = {report.ratio_decimal}")
-    if report.fib_assessment is not None:
-        nearest = report.fib_assessment
+    if nearest is not None:
+        print(f"ratio = {ratio_decimal}")
         print(
             f"nearest convergent = F({nearest.n})/F({nearest.n - 1})"
             f" = {format_fraction(nearest.ratio)}"
@@ -140,9 +151,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     failures = []
     results = []
     for vertex in vertices:
-        # a scan prints only the verdicts: no decimal ratio, no convergent search
-        segments = construct_segments(build_cluster(vertex, args.side))
-        ok = all(check_segments(segments))
+        report = make_report(build_cluster(vertex, args.side))
+        ok = report.phi_exact_ok and report.equal_lengths_ok
         results.append((vertex, ok))
         if not ok:
             failures.append(vertex)
@@ -299,16 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _join_negative_vertex(argv: list[str]) -> list[str]:
-    """Rewrite ``--vertex -1,0,3`` as ``--vertex=-1,0,3``, abbreviations too.
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--vertex -1,0,3`` as ``--vertex=-1,0,3``, abbreviations too, and
+    likewise ``--side -3/4`` and ``--ratio -1e3``.
 
     argparse takes a separate value that starts with "-" and is not a plain
-    number for an option, so ``--vertex`` would be left without its value.
+    number for an option, so the flag would be left without its value.
     """
     joined: list[str] = []
     for arg in argv:
         flag = joined[-1] if joined else ""
-        if len(flag) > 2 and "--vertex".startswith(flag) and re.match(r"-\d", arg):
+        if (len(flag) > 2 and re.match(r"-\.?\d", arg)
+                and any(name.startswith(flag) for name in ("--vertex", "--side", "--ratio"))):
             joined[-1] = f"{flag}={arg}"
         else:
             joined.append(arg)
@@ -317,7 +329,7 @@ def _join_negative_vertex(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(_join_negative_vertex(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -37,17 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import (
-    PHI,
-    QuadExt,
-    as_quadext,
-    format_fraction,
-    positive_rational,
-    sign,
-    sqrt_exact,
-    to_decimal,
-)
-from .fibonacci import assess_nearest
+from .exact import PHI, QuadExt, as_quadext, format_fraction, positive_rational, sign, sqrt_exact
 from .geometry import Point, tangent_frame, tangent_lines_in_frame
 from .tessellation import VertexRef, _center, _corner, incident_hexagons
 
@@ -87,28 +77,18 @@ class PhiSegment(namedtuple("PhiSegment", "k hex line a b ao2 ob2 ab2")):
         }
 
 
-class PhiReport(namedtuple("PhiReport", "cluster frac_digits segments phi_exact_ok "
-                                        "equal_lengths_ok ratio_decimal fib_assessment")):
+class PhiReport(namedtuple("PhiReport", "cluster segments phi_exact_ok equal_lengths_ok")):
     """Verification verdict for one cluster."""
 
     __slots__ = ()
 
     def to_json(self) -> dict:
-        fibonacci = None
-        if self.fib_assessment is not None:
-            fibonacci = {
-                "n": self.fib_assessment.n,
-                "ratio": format_fraction(self.fib_assessment.ratio),
-                "variance": self.fib_assessment.variance_decimal(self.frac_digits),
-            }
         return {
             "vertex": str(self.cluster.vertex),
             "side": format_fraction(self.cluster.side),
             "segments": [segment.to_json() for segment in self.segments],
             "phi_exact_ok": self.phi_exact_ok,
             "equal_lengths_ok": self.equal_lengths_ok,
-            "ratio_decimal": self.ratio_decimal,
-            "fibonacci": fibonacci,
         }
 
 
@@ -203,13 +183,14 @@ def verify_phi(segment: PhiSegment) -> tuple[bool, bool]:
     )
 
 
-def check_segments(segments: tuple[PhiSegment, ...]) -> tuple[bool, bool]:
-    """(phi_exact_ok, equal_lengths_ok) of a cluster's segments.
+def make_report(cluster: Cluster) -> PhiReport:
+    """Construct and check one cluster.
 
     ``phi_exact_ok`` demands both identities on every segment, checked once
     per distinct ``(ao2, ob2, ab2)`` triple; ``equal_lengths_ok`` demands all
     ab2 values be field-equal.
     """
+    segments = construct_segments(cluster)
     phi_exact_ok = True
     checked = []  # triples that passed; a short list, as in construct_segments
     for segment in segments:
@@ -222,31 +203,4 @@ def check_segments(segments: tuple[PhiSegment, ...]) -> tuple[bool, bool]:
         checked.append(lengths)
     first_ab2 = segments[0].ab2
     equal_lengths_ok = all(segment.ab2 == first_ab2 for segment in segments[1:])
-    return phi_exact_ok, equal_lengths_ok
-
-
-def make_report(cluster: Cluster, frac_digits: int = 10) -> PhiReport:
-    """Construct, check and summarize one cluster.
-
-    The verdicts are those of `check_segments`.  The decimal ratio and its
-    nearest Fibonacci convergent are reported only when the golden identity
-    holds, because only then is the ratio phi.
-    """
-    segments = construct_segments(cluster)
-    phi_exact_ok, equal_lengths_ok = check_segments(segments)
-    ratio_decimal = None
-    fib_assessment = None
-    if phi_exact_ok:
-        ratio_decimal = to_decimal(PHI, frac_digits)
-        # at 4300 digits the decimal's numerator has 4301, more than
-        # parse_rational accepts from a user; Fraction reads it in two parts
-        fib_assessment = assess_nearest(Fraction(ratio_decimal))
-    return PhiReport(
-        cluster=cluster,
-        frac_digits=frac_digits,
-        segments=segments,
-        phi_exact_ok=phi_exact_ok,
-        equal_lengths_ok=equal_lengths_ok,
-        ratio_decimal=ratio_decimal,
-        fib_assessment=fib_assessment,
-    )
+    return PhiReport(cluster, segments, phi_exact_ok, equal_lengths_ok)

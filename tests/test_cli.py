@@ -15,6 +15,8 @@ from hexphi.fibonacci import convergent
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "cluster_default.svg"
+VERIFY_JSON = ROOT / "tests" / "data" / "verify_default.json"
+FAILED_VERIFY_JSON = ROOT / "tests" / "data" / "verify_failed.json"
 
 
 def run(capsys, *argv):
@@ -51,6 +53,14 @@ def test_verify_vertex_value_may_start_with_minus(capsys):
     joined = run(capsys, "verify", "--vertex=-1,0,3")
     assert separate == joined == run(capsys, "verify", "--vert", "-1,0,3")
     assert separate[0] == 0 and "PHI-EXACT: PASS" in separate[1]
+
+
+def test_side_value_may_start_with_minus(capsys):
+    separate = run(capsys, "verify", "--side", "-3/-4")
+    assert separate == run(capsys, "verify", "--side=-3/-4")
+    assert separate == run(capsys, "verify", "--s", "-3/-4")
+    assert separate == run(capsys, "verify", "--side", "3/4")
+    assert separate[0] == 0 and "side = 3/4" in separate[1]
 
 
 @pytest.mark.parametrize("subcommand", ["verify", "fib"])
@@ -109,15 +119,13 @@ def test_verify_json_schema(capsys):
 def test_verify_reports_failure_detail(capsys, monkeypatch):
     real_make_report = cli.make_report
 
-    def doctored(cluster, frac_digits=10):
-        report = real_make_report(cluster, frac_digits)
+    def doctored(cluster):
+        report = real_make_report(cluster)
         bad_first = report.segments[0]._replace(ab2=report.segments[0].ao2)
         return report._replace(
             segments=(bad_first,) + report.segments[1:],
             phi_exact_ok=False,
             equal_lengths_ok=False,
-            ratio_decimal=None,
-            fib_assessment=None,
         )
 
     monkeypatch.setattr(cli, "make_report", doctored)
@@ -127,6 +135,26 @@ def test_verify_reports_failure_detail(capsys, monkeypatch):
     assert "distinct |AB|^2 values" in out
     assert "PHI-EXACT: FAIL" in out
     assert "ratio =" not in out
+
+
+def test_verify_json_bytes_are_pinned(capsys):
+    # key order and layout too: the report's keys, then ratio_decimal and fibonacci
+    assert run(capsys, "verify", "--json") == (0, VERIFY_JSON.read_text(encoding="utf-8"), "")
+
+
+def test_failed_verify_json_bytes_are_pinned(capsys, monkeypatch):
+    real_construct_segments = construction.construct_segments
+
+    def doctored(cluster):
+        first, *rest = real_construct_segments(cluster)
+        return (first._replace(ab2=first.ab2 * 2), *rest)
+
+    monkeypatch.setattr(construction, "construct_segments", doctored)
+    code, out, err = run(capsys, "verify", "--json")
+    assert (code, out, err) == (1, FAILED_VERIFY_JSON.read_text(encoding="utf-8"), "")
+    payload = json.loads(out)
+    assert payload["ratio_decimal"] is None
+    assert payload["fibonacci"] is None
 
 
 def test_scan_radius_zero(capsys):
@@ -150,21 +178,28 @@ def test_scan_json(capsys):
 
 
 def test_scan_reports_failures(capsys, monkeypatch):
-    real_check_segments = cli.check_segments
+    real_make_report = cli.make_report
 
-    def doctored(segments):
-        _, equal_lengths_ok = real_check_segments(segments)
-        return False, equal_lengths_ok
+    def doctored(cluster):
+        return real_make_report(cluster)._replace(phi_exact_ok=False)
 
-    monkeypatch.setattr(cli, "check_segments", doctored)
+    monkeypatch.setattr(cli, "make_report", doctored)
     code, out, _ = run(capsys, "scan", "--radius", "0")
     assert code == 1
     assert "failures = 6" in out
     assert "SCAN: FAIL" in out
 
 
-def test_scan_computes_no_ratio_and_searches_no_convergent(capsys, monkeypatch):
-    # a scan prints verdicts only, so it needs neither the decimal nor the search
+@pytest.mark.parametrize("argv", [("scan", "--radius", "2"), ("render", "--out", "{out}")],
+                         ids=["scan", "render"])
+def test_scan_computes_no_ratio_and_searches_no_convergent(capsys, monkeypatch, tmp_path, argv):
+    # a scan prints verdicts only and a figure draws no ratio, so neither
+    # needs the decimal nor the search; only verify does
+    figure = tmp_path / "figure.svg"
+    last_line = {
+        "scan": "SCAN: PASS",
+        "render": f"wrote {figure} ({len(GOLDEN.read_text(encoding='utf-8'))} bytes)",
+    }[argv[0]]
     calls = []
 
     def counted(name, fn):
@@ -174,11 +209,10 @@ def test_scan_computes_no_ratio_and_searches_no_convergent(capsys, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(construction, "assess_nearest",
-                        counted("assess_nearest", construction.assess_nearest))
-    monkeypatch.setattr(construction, "to_decimal", counted("to_decimal", construction.to_decimal))
-    code, out, _ = run(capsys, "scan", "--radius", "2")
-    assert (code, out.splitlines()[-1]) == (0, "SCAN: PASS")
+    monkeypatch.setattr(cli, "assess_nearest", counted("assess_nearest", cli.assess_nearest))
+    monkeypatch.setattr(cli, "to_decimal", counted("to_decimal", cli.to_decimal))
+    code, out, _ = run(capsys, *(str(figure) if arg == "{out}" else arg for arg in argv))
+    assert (code, out.splitlines()[-1]) == (0, last_line)
     assert calls == []
     assert run(capsys, "verify")[0] == 0
     assert calls == ["to_decimal", "assess_nearest"]
@@ -385,6 +419,20 @@ for side in ("1e4299", "1e-4299", "1e2150", "1e-2150"):
 BOUNDARY_SWEEP += [
     (("render", "--out", "{out}", "--side", "1e4297"), 0, ""),
     (("render", "--out", "{out}", "--side", "1e4298"), 2, TOO_LONG_TO_PRINT),
+]
+# a separate value that starts with "-" and a digit reaches the domain check,
+# as "--side=-3/4" does, and is not read by argparse as a missing value
+NOT_POSITIVE = "expected a positive value, got "
+BOUNDARY_SWEEP += [
+    (("verify", "--side", "-3/4"), 2, NOT_POSITIVE + "'-3/4'"),
+    (("verify", "--side", "-1e3"), 2, NOT_POSITIVE + "'-1e3'"),
+    (("verify", "--side", "-.5e3"), 2, NOT_POSITIVE + "'-.5e3'"),
+    (("verify", "--si", "-3/4"), 2, NOT_POSITIVE + "'-3/4'"),
+    (("render", "--out", "{out}", "--side", "-1/2"), 2, NOT_POSITIVE + "'-1/2'"),
+    (("assess", "--ratio", "-1/2"), 2, NOT_POSITIVE + "'-1/2'"),
+    (("assess", "--ra", "-1e3"), 2, NOT_POSITIVE + "'-1e3'"),
+    (("verify", "--side", "-3/-4"), 0, ""),
+    (("verify", "--side=-3/-4"), 0, ""),
 ]
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -159,25 +162,40 @@ def test_verify_phi_rejects_a_doctored_segment():
     assert verify_phi(stretched) == (False, True)
 
 
-def test_report_for_canonical_cluster():
-    report = make_report(build_cluster(ORIGIN_VERTEX), 10)
+def _verify_json(capsys, *argv) -> tuple[int, dict]:
+    code = cli.main(["verify", "--json", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_report_for_canonical_cluster(capsys):
+    # a report is the construction's verdict; the ratio is verify's to print
+    cluster = build_cluster(ORIGIN_VERTEX)
+    report = make_report(cluster)
+    assert report._fields == ("cluster", "segments", "phi_exact_ok", "equal_lengths_ok")
+    assert report.cluster == cluster
     assert report.phi_exact_ok
     assert report.equal_lengths_ok
-    assert report.ratio_decimal == "1.6180339887"
-    assert report.fib_assessment is not None
-    assert report.fib_assessment.n > 11
     assert len(report.segments) == 6
+    code, payload = _verify_json(capsys)
+    assert code == 0
+    assert payload["ratio_decimal"] == "1.6180339887"
+    assert payload["fibonacci"] is not None
+    assert payload["fibonacci"]["n"] > 11
 
 
-def test_report_json_shape():
-    report = make_report(build_cluster(ORIGIN_VERTEX), 10)
+def test_report_json_shape(capsys):
+    report = make_report(build_cluster(ORIGIN_VERTEX))
     payload = report.to_json()
+    assert list(payload) == ["vertex", "side", "segments", "phi_exact_ok", "equal_lengths_ok"]
     assert payload["vertex"] == "0,0,0"
     assert payload["side"] == "1/1"
     assert payload["phi_exact_ok"] is True
     assert payload["equal_lengths_ok"] is True
-    assert payload["ratio_decimal"] == "1.6180339887"
-    assert set(payload["fibonacci"]) == {"n", "ratio", "variance"}
+    code, verified = _verify_json(capsys)
+    assert code == 0
+    assert list(verified) == [*payload, "ratio_decimal", "fibonacci"]
+    assert verified["ratio_decimal"] == "1.6180339887"
+    assert set(verified["fibonacci"]) == {"n", "ratio", "variance"}
     assert len(payload["segments"]) == 6
     first = payload["segments"][0]
     assert first["k"] == 1 and first["hex"] == "0,0"
@@ -194,7 +212,7 @@ def test_report_checks_every_distinct_triple(monkeypatch, capsys):
     third = segments[2]
     doctored = (*segments[:2], third._replace(ab2=third.ab2 * 2), *segments[3:])
     monkeypatch.setattr(construction, "construct_segments", lambda _cluster: doctored)
-    report = make_report(cluster, 10)
+    report = make_report(cluster)
     assert not report.phi_exact_ok
     assert not report.equal_lengths_ok
     assert cli.main(["verify"]) == 1
@@ -206,17 +224,25 @@ def test_report_checks_every_distinct_triple(monkeypatch, capsys):
     assert "PHI-EXACT: FAIL" in out
 
 
-def test_report_on_a_doctored_segment_fails(monkeypatch):
+def test_report_on_a_doctored_segment_fails(monkeypatch, capsys):
     cluster = build_cluster(ORIGIN_VERTEX)
     first, *rest = construct_segments(cluster)
     doctored = (first._replace(ab2=first.ab2 * 2), *rest)
     monkeypatch.setattr(construction, "construct_segments", lambda _cluster: doctored)
-    report = make_report(cluster, 10)
+    report = make_report(cluster)
     assert report.segments == doctored
     assert not report.phi_exact_ok
     assert not report.equal_lengths_ok
-    assert report.ratio_decimal is None
-    assert report.fib_assessment is None
+    # no ratio on a FAIL: the identity failed, so the ratio is not phi
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "PHI-EXACT: FAIL" in out
+    assert not [line for line in out.splitlines() if line.startswith("ratio =")]
+    assert "nearest convergent" not in out
+    code, payload = _verify_json(capsys)
+    assert code == 1
+    assert payload["ratio_decimal"] is None
+    assert payload["fibonacci"] is None
 
 
 def test_construction_guards_raise_domain_errors():
@@ -363,7 +389,7 @@ def test_square_roots_per_verify(monkeypatch, capsys):
 
 def test_all_patch_vertices_verify():
     for vertex in enumerate_vertices(2):
-        report = make_report(build_cluster(vertex), 2)
+        report = make_report(build_cluster(vertex))
         assert report.phi_exact_ok, str(vertex)
         assert report.equal_lengths_ok, str(vertex)
 
@@ -420,7 +446,7 @@ def test_closed_form_lengths_against_oracle():
     assert to_decimal(PHI * PHI * 3, 10) == to_decimal(AB2, 10)
 
 
-def test_report_at_the_digit_limit_hands_the_ratio_over_exactly(monkeypatch):
+def test_report_at_the_digit_limit_hands_the_ratio_over_exactly(monkeypatch, capsys):
     # a 4300-digit ratio has a 4301-digit numerator, which parse_rational
     # rejects from users; the search itself is covered in test_fraction_oracle
     seen = []
@@ -429,7 +455,24 @@ def test_report_at_the_digit_limit_hands_the_ratio_over_exactly(monkeypatch):
         seen.append(target)
         return convergent(2)
 
-    monkeypatch.setattr(construction, "assess_nearest", nearest)
-    report = make_report(build_cluster(ORIGIN_VERTEX), frac_digits=MAX_DIGITS)
-    assert report.ratio_decimal == to_decimal(PHI, MAX_DIGITS)
-    assert seen == [Fraction(report.ratio_decimal)]
+    monkeypatch.setattr(cli, "assess_nearest", nearest)
+    assert cli.main(["verify", "--digits", str(MAX_DIGITS)]) == 0
+    ratio_decimal = to_decimal(PHI, MAX_DIGITS)
+    assert f"ratio = {ratio_decimal}\n" in capsys.readouterr().out
+    assert seen == [Fraction(ratio_decimal)]
+
+
+def test_construction_imports_only_the_layers_below_it():
+    # a report is the construction's verdict: the decimal ratio and the
+    # convergent search belong to `verify`, so no fibonacci and no to_decimal
+    tree = ast.parse(Path(construction.__file__).read_text(encoding="utf-8"))
+    local: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.setdefault(node.module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.partition(".")[0] != "hexphi", node.module
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.partition(".")[0] != "hexphi" for alias in node.names)
+    assert set(local) == {"exact", "geometry", "tessellation"}
+    assert "to_decimal" not in local["exact"]
