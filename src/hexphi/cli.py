@@ -178,7 +178,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
-    rows = list(itertools.islice(convergents(), args.max - 1))
+    rows = itertools.islice(convergents(), args.max - 1)
     if args.json:
         _print_json(
             {
@@ -201,10 +201,15 @@ def _cmd_fib(args: argparse.Namespace) -> int:
     print(f"# digits = {args.digits}")
     print(f"# rounding = {args.rounding}")
     print("n\tF_n\tF_n-1\tratio\tvariance")
+    # rows print as they are made, and each F(n) becomes a string once: as
+    # this row's F_n and the next row's F_n-1 (the first row's is F(1) = 1)
+    fn_1 = "1"
     for row in rows:
+        fn = str(row.fn)
         ratio = row.ratio_decimal(args.digits, args.rounding)
         var = row.variance_decimal(args.digits, args.rounding)
-        print(f"{row.n}\t{row.fn}\t{row.fn_1}\t{ratio}\t{var}")
+        print(f"{row.n}\t{fn}\t{fn_1}\t{ratio}\t{var}")
+        fn_1 = fn
     return 0
 
 

@@ -6,6 +6,15 @@ absolute distance to the golden ratio, an element of the field; rendering to
 a decimal is the only approximate-looking step and even that is correctly
 rounded.
 
+A row is computed in ints.  For positive p and q, p/q - phi is
+(2p - q - q*sqrt5) / (2q), and its sign is the sign of e = p^2 - pq - q^2,
+since (p/q)^2 - p/q - 1 = e/q^2 and phi is the positive root of x^2 - x - 1;
+4e = (2p - q)^2 - 5q^2 takes two squarings.  For consecutive Fibonacci
+numbers e = +-1 (Cassini), and a factor common to p and q divides e, so they
+are coprime (Knuth, *TAOCP* vol. 1, section 1.2.8).  The form above is then
+reduced but for a factor 2 when q is even: a row needs no gcd, no field
+subtraction and no `sign` call.
+
 The nearest convergent to a target t is found by bracketing.  Cassini's
 identity F(n+1)F(n-1) - F(n)^2 = (-1)^n puts phi between consecutive
 convergents, so those with odd n lie above phi and fall toward it, and those
@@ -28,11 +37,18 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .exact import HALF_EVEN, PHI, QuadExt, parse_rational, sign, to_decimal
+from .exact import HALF_EVEN, PHI, QuadExt, _new, _reduced, parse_rational, sign, to_decimal
 
 
 class Convergent(namedtuple("Convergent", "n fn fn_1")):
-    """The n-th convergent, F(n)/F(n-1), held as n, F(n) and F(n-1)."""
+    """The n-th convergent, F(n)/F(n-1), held as n, F(n) and F(n-1).
+
+    The variance takes its sign from e = fn^2 - fn*fn_1 - fn_1^2 (see the
+    module docstring) and skips the gcd when e = +-1.  Fields built by hand
+    that are not consecutive Fibonacci numbers take the gcd, and non-positive
+    ones the generic field path, so the result has the same reduced form
+    whatever the fields.
+    """
 
     __slots__ = ()
 
@@ -41,11 +57,24 @@ class Convergent(namedtuple("Convergent", "n fn fn_1")):
         return Fraction(self.fn, self.fn_1)
 
     def ratio_decimal(self, frac_digits: int, rounding: str = HALF_EVEN) -> str:
-        return to_decimal(self.ratio, frac_digits, rounding)
+        if self.fn_1 <= 0:
+            return to_decimal(self.ratio, frac_digits, rounding)
+        # to_decimal only rounds fn / fn_1, so this unreduced form needs no gcd
+        return to_decimal(_new((self.fn, 0, 0, 0), self.fn_1), frac_digits, rounding)
 
     def variance_exact(self) -> QuadExt:
         """|F(n)/F(n-1) - phi| as an exact field element."""
-        return abs(QuadExt(self.ratio) - PHI)
+        p, q = self.fn, self.fn_1
+        if p <= 0 or q <= 0:  # the sign rule needs p/q > 0
+            return abs(QuadExt(self.ratio) - PHI)
+        a = 2 * p - q
+        e4 = a * a - 5 * (q * q)  # 4e, from two squarings
+        s = 1 if e4 > 0 else -1  # phi is irrational, so e != 0
+        if e4 != 4 * s:  # not Cassini's e = +-1, so p and q may share a factor
+            return _reduced(s * a, 0, -s * q, 0, 2 * q)
+        if q & 1:
+            return _new((s * a, 0, -s * q, 0), 2 * q)
+        return _new((s * (a >> 1), 0, -s * (q >> 1), 0), q)  # a is even with q
 
     def variance_decimal(self, frac_digits: int, rounding: str = HALF_EVEN) -> str:
         return to_decimal(self.variance_exact(), frac_digits, rounding)

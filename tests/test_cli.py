@@ -1,22 +1,28 @@
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import fraction_oracle as oracle
 import hexphi.cli as cli
 import hexphi.construction as construction
 from hexphi.cli import main
 from hexphi.exact import ECHO_CHARS, HALF_EVEN, MAX_DIGITS, PHI, TRUNCATE, to_decimal
-from hexphi.fibonacci import convergent
+from hexphi.fibonacci import convergent, convergents
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "cluster_default.svg"
 VERIFY_JSON = ROOT / "tests" / "data" / "verify_default.json"
 FAILED_VERIFY_JSON = ROOT / "tests" / "data" / "verify_failed.json"
+# sha256 of the stdout of long `fib` tables, by argv
+FIB_SHA256 = json.loads((ROOT / "tests" / "data" / "fib_sha256.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -265,20 +271,29 @@ def test_fib_json(capsys):
     }
 
 
-def _fib_row(n: int, digits: int, rounding: str) -> dict:
-    row = convergent(n)
-    return {
-        "n": n,
-        "fn": row.fn,
-        "fn_1": row.fn_1,
-        "ratio": row.ratio_decimal(digits, rounding),
-        "variance": row.variance_decimal(digits, rounding),
-    }
+def _fib_rows(max_n: int, digits: int, rounding: str) -> list[dict]:
+    """The rows `fib` should print, from a plain recurrence and the `Fraction`
+    kernel of `fraction_oracle`, so no decimal comes from `hexphi`."""
+    rows = []
+    fn_1, fn = 1, 1
+    for n in range(2, max_n + 1):
+        ratio = Fraction(fn, fn_1)
+        rows.append({
+            "n": n,
+            "fn": fn,
+            "fn_1": fn_1,
+            "ratio": oracle.to_decimal(ratio, digits, rounding),
+            "variance": oracle.to_decimal(abs(oracle.QuadExt(ratio) - oracle.PHI), digits, rounding),
+        })
+        fn_1, fn = fn, fn + fn_1
+    return rows
 
 
-@pytest.mark.parametrize("max_n, digits, rounding", [(300, 10, TRUNCATE), (120, 45, HALF_EVEN)])
+@pytest.mark.parametrize(
+    "max_n, digits, rounding", [(300, 10, TRUNCATE), (120, 45, HALF_EVEN), (1200, 30, HALF_EVEN)]
+)
 def test_fib_table_matches_convergent_per_row(capsys, max_n, digits, rounding):
-    rows = [_fib_row(n, digits, rounding) for n in range(2, max_n + 1)]
+    rows = _fib_rows(max_n, digits, rounding)
     flags = ["--max", str(max_n), "--digits", str(digits), "--rounding", rounding]
     code, out, err = run(capsys, "fib", *flags)
     assert (code, err) == (0, "")
@@ -290,6 +305,31 @@ def test_fib_table_matches_convergent_per_row(capsys, max_n, digits, rounding):
     assert (code, err) == (0, "")
     payload = {"digits": digits, "rounding": rounding, "decimal_separator": ".", "rows": rows}
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", list(FIB_SHA256))
+def test_fib_stdout_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FIB_SHA256[argv]
+
+
+def test_fib_prints_each_row_as_it_is_made(capsys, monkeypatch):
+    def interrupted(start=2):
+        yield from itertools.islice(convergents(start), 3)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "convergents", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["fib", "--max", "100"])
+    assert capsys.readouterr().out.splitlines() == [
+        "# digits = 10",
+        "# rounding = truncate",
+        "n\tF_n\tF_n-1\tratio\tvariance",
+        "2\t1\t1\t1.0000000000\t0.6180339887",
+        "3\t2\t1\t2.0000000000\t0.3819660112",
+        "4\t3\t2\t1.5000000000\t0.1180339887",
+    ]
 
 
 def test_fib_max_must_be_at_least_two(capsys):

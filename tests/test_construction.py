@@ -375,7 +375,15 @@ def test_sign_calls_per_verify_and_per_cluster(monkeypatch, capsys):
     assert len(calls) == 0
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert len(calls) <= 11
+    assert len(calls) <= 10
+
+
+def test_fib_table_makes_no_sign_call(monkeypatch, capsys):
+    # each row's variance takes its sign from an int (Cassini), not from `abs`
+    calls = _count_calls(monkeypatch, sign)
+    assert cli.main(["fib", "--max", "500"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 502
+    assert len(calls) == 0
 
 
 def test_square_roots_per_verify(monkeypatch, capsys):

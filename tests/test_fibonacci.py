@@ -60,6 +60,22 @@ def test_variance_shorthand():
     assert convergent(2).variance_decimal(4) == "0.6180"
 
 
+def test_closed_form_variance_matches_field_subtraction():
+    # F(n-1) is even exactly when 3 divides n - 1, so the range takes both the
+    # halved and the unhalved form; the first three hand-built rows share a
+    # factor or are no convergents at all (e != +-1) and take the gcd, and
+    # the last three, with a field <= 0, the generic path
+    hand_built = [Convergent(5, 10, 6), Convergent(3, 7, 4), Convergent(2, 3, 3),
+                  Convergent(2, -1, 1), Convergent(2, 1, -3), Convergent(2, -3, -2)]
+    for row in [convergent(n) for n in range(2, 3001)] + hand_built:
+        closed = row.variance_exact()
+        generic = abs(QuadExt(row.ratio) - PHI)
+        assert (closed._num, closed._den) == (generic._num, generic._den), row
+        assert hash(closed) == hash(generic), row
+        for rounding in (HALF_EVEN, TRUNCATE):
+            assert row.ratio_decimal(12, rounding) == to_decimal(row.ratio, 12, rounding), row
+
+
 def test_variance_is_strictly_decreasing():
     gaps = [convergent(n).variance_exact() for n in range(2, 41)]
     for closer, farther in zip(gaps[1:], gaps):
