@@ -19,9 +19,12 @@ Both identities are checked multiplicatively on squared lengths
 (ab2 == phi**2 * ao2 and ao2 == phi**2 * ob2), which avoids division while
 still pinning the ratio, since all quantities are positive.  A, O and B are
 collinear, so ao2 = t_A^2*lead, ob2 = t_B^2*lead and ab2 = (t_A - t_B)^2*lead.
+A segment therefore keeps its line, t_A and t_B, and its endpoints A and B
+are ``O + t*dir``, computed from t_A and t_B on demand: the verdict reads
+only the squared lengths, and only a JSON report or a figure prints A and B.
 
-Work is shared by value, never by position.  The tangent frame (|O - C|,
-the tangent length, their ratios and one inverse) depends only on |O - C|^2
+Work is shared by value, never by position.  The tangent frame (the tangent
+length and the radius, each over |O - C|^2) depends only on |O - C|^2
 and the small radius, and the per-hexagon guard demands |O - C|^2 = side^2,
 so a construction takes one frame and turns it toward each of the three
 centers.  Past lead and half, a line's solve (1/lead, t_A, the square root,
@@ -60,10 +63,26 @@ class Cluster(namedtuple("Cluster", "vertex side o centers")):
         return as_quadext(self.side / 2), as_quadext(self.side), as_quadext(2 * self.side)
 
 
-class PhiSegment(namedtuple("PhiSegment", "k hex line a b ao2 ob2 ab2")):
-    """One tangent segment A-B through O, with exact squared lengths."""
+class PhiSegment(namedtuple("PhiSegment", "k hex line t_a t_b ao2 ob2 ab2")):
+    """One tangent segment A-B through O, with exact squared lengths.
+
+    A and B sit at parameters `t_a` and `t_b` on `line`; the `a` and `b`
+    properties build them anew on each access.
+    """
 
     __slots__ = ()
+
+    @property
+    def a(self) -> Point:
+        return self._point_at(self.t_a)
+
+    @property
+    def b(self) -> Point:
+        return self._point_at(self.t_b)
+
+    def _point_at(self, t: QuadExt) -> Point:
+        (ox, oy), (dx, dy) = self.line
+        return Point._make((ox + t * dx, oy + t * dy))
 
     def to_json(self) -> dict:
         return {
@@ -123,8 +142,8 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
     frame = tangent_frame(middle2, small)
     o = cluster.o
     ox, oy = o
-    # ((lead, half), solution) pairs met so far in this call; hashing a
-    # rational QuadExt builds a Fraction, so a short list beats a dict
+    # ((lead, half), solution) pairs met so far in this call; a cluster's six
+    # lines meet one key, so a short list is cheaper than hashing four values
     solved = []
     segments = []
     for hexagon, center in cluster.centers:
@@ -143,19 +162,7 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
             else:
                 solution = _solve(lead, half, const)
                 solved.append((key, solution))
-            t_a, t_b, ao2, ob2, ab2 = solution
-            segments.append(
-                PhiSegment(
-                    k=len(segments) + 1,
-                    hex=hexagon,
-                    line=line,
-                    a=Point._make((ox + t_a * dx, oy + t_a * dy)),
-                    b=Point._make((ox + t_b * dx, oy + t_b * dy)),
-                    ao2=ao2,
-                    ob2=ob2,
-                    ab2=ab2,
-                )
-            )
+            segments.append(PhiSegment(len(segments) + 1, hexagon, line, *solution))
     return tuple(segments)
 
 

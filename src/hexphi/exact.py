@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -35,6 +36,9 @@ _ROUNDING_MODES = (HALF_EVEN, TRUNCATE)
 
 # bound once: the arithmetic methods call it for every result they build
 _object_new = object.__new__
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 # Python converts no int of more than 4300 digits to or from a string
 # (sys.int_info.default_max_str_digits): the fraction digits of a decimal are
@@ -141,9 +145,19 @@ class QuadExt:
         return " + ".join(terms) if terms else "0"
 
     def __hash__(self) -> int:
-        if self.is_rational:
-            return hash(self.a)
-        return hash((self._num, self._den))
+        # a rational value equals Fraction(a, den), so it hashes as
+        # fractions.Fraction.__hash__ does, from the ints
+        a, b, c, d = self._num
+        if b or c or d:
+            return hash((self._num, self._den))
+        try:
+            inverse = pow(self._den, -1, _HASH_MODULUS)
+        except ValueError:  # den is a multiple of the modulus
+            magnitude = _HASH_INF
+        else:
+            magnitude = hash(hash(abs(a)) * inverse)
+        value = magnitude if a >= 0 else -magnitude
+        return -2 if value == -1 else value
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
@@ -338,12 +352,6 @@ def as_quadext(value: QuadExt | int | Fraction) -> QuadExt:
     if x is None:
         raise TypeError(f"cannot interpret {type(value).__name__} as a field element")
     return x
-
-
-def sqrt3_multiple(value: int | Fraction) -> QuadExt:
-    """``value * sqrt3`` for a rational `value`, built without a field product."""
-    value = _fraction(value)
-    return _new((0, value.numerator, 0, 0), value.denominator)
 
 
 ZERO = QuadExt()

@@ -9,11 +9,13 @@ tolerances.
 Square roots are taken through :func:`hexphi.exact.sqrt_exact`, which only
 accepts rational radicands.  The roots taken are a point's distance to a
 circle's center and its tangent length; one that would leave the field raises
-:class:`hexphi.exact.NotRepresentable`.  Both roots, and the one inverse,
-depend only on that distance and the radius: `tangent_frame` takes them once
-and returns a `Frame`, and `tangent_lines_in_frame` turns the frame toward
-each center, so circles of equal radius at equal distance share one frame.
-The point must lie outside the circle, as the construction's vertex does.
+:class:`hexphi.exact.NotRepresentable`.  Both roots, and the one inverse (of
+the squared distance), depend only on that distance and the radius:
+`tangent_frame` takes them once and returns a `Frame`, the cosine and sine of
+the tangent's angle already divided by the distance, and
+`tangent_lines_in_frame` rotates the raw offset toward each center by it, so
+circles of equal radius at equal distance share one frame.  The point must
+lie outside the circle, as the construction's vertex does.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from .exact import QuadExt, as_quadext, sign, sqrt_exact
 
 Direction = tuple[QuadExt, QuadExt]
-Frame = tuple[QuadExt, QuadExt, QuadExt]  # see tangent_frame
+Frame = tuple[QuadExt, QuadExt]  # (cos(theta), sin(theta)) / |pc|; see tangent_frame
 
 
 class Point(namedtuple("Point", "x y")):
@@ -56,29 +58,30 @@ class ParamLine(namedtuple("ParamLine", "origin dir")):
 
 
 def tangent_frame(dist2: QuadExt, radius: QuadExt) -> Frame:
-    """``(1/|pc|, cos(theta), sin(theta))`` for tangents from p to a circle of
-    `radius` about c, with ``|pc|**2 == dist2``.
+    """``(cos(theta)/|pc|, sin(theta)/|pc|)`` for tangents from p to a circle
+    of `radius` about c, with ``|pc|**2 == dist2``.
 
     cos(theta) and sin(theta) are the exact ratios tangent_length/|pc| and
-    radius/|pc|.  p must lie outside the circle: for an interior point the
-    squared tangent length is negative and `sqrt_exact` raises NegativeInput.
-    Raises NotRepresentable when |pc| or the tangent length is irrational in
-    the field.
+    radius/|pc|, so the frame is the tangent length and the radius over
+    `dist2`: one inverse and no division by |pc| itself.  p must lie outside
+    the circle: for an interior point the squared tangent length is negative
+    and `sqrt_exact` raises NegativeInput.  Raises NotRepresentable when |pc|
+    or the tangent length is irrational in the field.
     """
     reach2 = dist2 - radius * radius  # squared tangent length
-    inv_dist = sqrt_exact(dist2).inverse()
-    return inv_dist, sqrt_exact(reach2) * inv_dist, radius * inv_dist
+    sqrt_exact(dist2)  # only to refuse an |pc| outside the field
+    inv_dist2 = dist2.inverse()
+    return sqrt_exact(reach2) * inv_dist2, radius * inv_dist2
 
 
 def tangent_lines_in_frame(p: Point, cx: QuadExt, cy: QuadExt, frame: Frame) -> list[ParamLine]:
     """The two tangent lines through `p`, sorted by direction angle, toward a
-    center at offset ``(cx, cy)`` from `p`: the unit vector ``(cx, cy)/|pc|``
-    rotated by +/-theta, with `frame` from `tangent_frame`."""
-    inv_dist, cos_t, sin_t = frame
-    ux, uy = cx * inv_dist, cy * inv_dist
-    cos_ux, sin_uy, sin_ux, cos_uy = cos_t * ux, sin_t * uy, sin_t * ux, cos_t * uy
-    plus: Direction = (cos_ux - sin_uy, sin_ux + cos_uy)
-    minus: Direction = (cos_ux + sin_uy, cos_uy - sin_ux)
+    center at offset ``(cx, cy)`` from `p`: that offset rotated by +/-theta
+    and divided by |pc|, which `frame`, from `tangent_frame`, folds in."""
+    cos_t, sin_t = frame
+    cos_x, sin_y, sin_x, cos_y = cos_t * cx, sin_t * cy, sin_t * cx, cos_t * cy
+    plus: Direction = (cos_x - sin_y, sin_x + cos_y)
+    minus: Direction = (cos_x + sin_y, cos_y - sin_x)
     if compare_directions(plus, minus) > 0:
         plus, minus = minus, plus
     return [ParamLine(p, plus), ParamLine(p, minus)]

@@ -38,8 +38,15 @@ def render_svg(report: PhiReport) -> str:
         raise ValueError("expected the six tangent segments")
     cluster = report.cluster
 
+    # each distinct value is rounded once per figure: a center, a radius or
+    # an endpoint recurs across layers, and equal values hash alike
+    decimals: dict[QuadExt | int | Fraction, str] = {}
+
     def fmt(value: QuadExt | int | Fraction) -> str:
-        return to_decimal(value, _FRAC_DIGITS)
+        text = decimals.get(value)
+        if text is None:
+            text = decimals[value] = to_decimal(value, _FRAC_DIGITS)
+        return text
 
     # bounding box of the three large circles, plus 5% margin per side
     large = cluster.radii[2]
@@ -116,11 +123,10 @@ def render_svg(report: PhiReport) -> str:
         f'<g id="phi-segments" stroke="#c23a55" '
         f'stroke-width="{fmt(_SEGMENT_STROKE * cluster.side)}">\n'
     )
-    for segment in report.segments:
-        out.append(
-            f'<line x1="{fmt(segment.a.x)}" y1="{fmt(segment.a.y)}" '
-            f'x2="{fmt(segment.b.x)}" y2="{fmt(segment.b.y)}"/>\n'
-        )
+    # a segment builds its endpoints on each access: read them once here
+    ends = [(segment.a, segment.b) for segment in report.segments]
+    for a, b in ends:
+        out.append(f'<line x1="{fmt(a.x)}" y1="{fmt(a.y)}" x2="{fmt(b.x)}" y2="{fmt(b.y)}"/>\n')
     out.append("</g>\n")
 
     # O, A1, B1, ..., A6, B6 and the place of each one's label: O's below left
@@ -129,9 +135,9 @@ def render_svg(report: PhiReport) -> str:
     offset = size * Fraction(3, 100)
     o = cluster.o
     points = [("O", o, o.x - offset, o.y - offset)]
-    for segment in report.segments:
+    for segment, (a, b) in zip(report.segments, ends):
         dx, dy = segment.line.dir
-        for end, point in (("A", segment.a), ("B", segment.b)):
+        for end, point in (("A", a), ("B", b)):
             push = sign((point.x - o.x) * dx + (point.y - o.y) * dy) * offset
             points.append((f"{end}{segment.k}", point, point.x + push * dx, point.y + push * dy))
 

@@ -16,17 +16,16 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import MAX_DIGITS, as_quadext, positive_rational, quoted, sqrt3_multiple
+from .exact import MAX_DIGITS, _reduced, positive_rational, quoted
 from .geometry import Point
 
 #: Axial steps to the six neighbors, listed by azimuth 30 + 60*i degrees.
 _NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
-_HALF = Fraction(1, 2)
-# corner k offset from the center: side * (cos 60k, sin 60k),
-# split into the rational part and the coefficient of sqrt(3)
-_CORNER_COS = (Fraction(1), _HALF, -_HALF, Fraction(-1), -_HALF, _HALF)
-_CORNER_SIN_SQRT3 = (Fraction(0), _HALF, _HALF, Fraction(0), -_HALF, -_HALF)
+# corner k offset from the center: side * (cos 60k, sin 60k), that is
+# side/2 * (_CORNER_X[k], _CORNER_Y[k] * sqrt3)
+_CORNER_X = (2, 1, -1, -2, -1, 1)
+_CORNER_Y = (0, 1, 1, 0, -1, -1)
 
 
 class HexIndex(namedtuple("HexIndex", "q r")):
@@ -92,14 +91,16 @@ class VertexRef(namedtuple("VertexRef", "hex corner")):
 def _center(hexagon: HexIndex, side: Fraction) -> Point:
     """side * (3q/2, (q/2 + r)*sqrt3) for a side checked by `positive_rational`."""
     p, den = side.numerator, 2 * side.denominator
-    x = as_quadext(Fraction(3 * hexagon.q * p, den))
-    y = sqrt3_multiple(Fraction((hexagon.q + 2 * hexagon.r) * p, den))
-    return Point(x, y)
+    x = _reduced(3 * hexagon.q * p, 0, 0, 0, den)
+    y = _reduced(0, (hexagon.q + 2 * hexagon.r) * p, 0, 0, den)
+    return Point._make((x, y))
 
 
 def _corner(center: Point, side: Fraction, k: int) -> Point:
-    x, y = side * _CORNER_COS[k], side * _CORNER_SIN_SQRT3[k]
-    return Point(center.x + x, center.y + sqrt3_multiple(y))
+    p, den = side.numerator, 2 * side.denominator
+    x = _reduced(_CORNER_X[k] * p, 0, 0, 0, den)
+    y = _reduced(0, _CORNER_Y[k] * p, 0, 0, den)
+    return Point._make((center.x + x, center.y + y))
 
 
 def hex_corners(hexagon: HexIndex, side: int | Fraction = 1) -> list[Point]:

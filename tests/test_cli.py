@@ -23,6 +23,10 @@ VERIFY_JSON = ROOT / "tests" / "data" / "verify_default.json"
 FAILED_VERIFY_JSON = ROOT / "tests" / "data" / "verify_failed.json"
 # sha256 of the stdout of long `fib` tables, by argv
 FIB_SHA256 = json.loads((ROOT / "tests" / "data" / "fib_sha256.json").read_text(encoding="utf-8"))
+# sha256 of the stdout of `scan` and `verify` runs, and of `render` figures by flags
+STDOUT_SHA256 = json.loads(
+    (ROOT / "tests" / "data" / "stdout_sha256.json").read_text(encoding="utf-8"))
+SVG_SHA256 = json.loads((ROOT / "tests" / "data" / "svg_sha256.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -312,6 +316,21 @@ def test_fib_stdout_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == FIB_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256))
+def test_scan_and_verify_stdout_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("flags", list(SVG_SHA256))
+def test_render_figure_bytes_are_pinned(capsys, tmp_path, flags):
+    figure = tmp_path / "figure.svg"
+    code, _, err = run(capsys, "render", "--out", str(figure), *flags.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(figure.read_bytes()).hexdigest() == SVG_SHA256[flags]
 
 
 def test_fib_prints_each_row_as_it_is_made(capsys, monkeypatch):

@@ -128,6 +128,16 @@ def test_endpoints_lie_on_their_circles():
         assert squared_distance(segment.b, centers[segment.hex]) == large * large
 
 
+def test_segment_keeps_parameters_and_builds_endpoints_on_demand():
+    segment = construct_segments(build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7)))[0]
+    assert segment._fields == ("k", "hex", "line", "t_a", "t_b", "ao2", "ob2", "ab2")
+    (ox, oy), (dx, dy) = segment.line
+    assert segment.a == Point(ox + segment.t_a * dx, oy + segment.t_a * dy)
+    assert segment.b == Point(ox + segment.t_b * dx, oy + segment.t_b * dy)
+    assert segment.a is not segment.a  # built anew on each access, never cached
+    assert list(segment.to_json()) == ["k", "hex", "A", "B", "ao2", "ob2", "ab2"]
+
+
 def test_o_lies_strictly_between_a_and_b():
     cluster = build_cluster(ORIGIN_VERTEX)
     for segment in construct_segments(cluster):
@@ -305,12 +315,13 @@ def _count_field_operations(monkeypatch) -> dict[str, int]:
 
 def test_construction_field_operation_counts(monkeypatch):
     # bounds the work of one construction without timing it: the counts of
-    # the concentric solve, with one 1/dist for the shared tangent frame and
-    # one 1/lead per distinct (lead, half); the six lines of a cluster share one
+    # the concentric solve, with one 1/|O - C|^2 for the shared tangent frame
+    # and one 1/lead per distinct (lead, half); the six lines of a cluster
+    # share one, and no endpoint is built until it is read
     cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     counts = _count_field_operations(monkeypatch)
     construct_segments(cluster)
-    assert counts["mul"] <= 91
+    assert counts["mul"] <= 61
     assert counts["inverse"] <= 2
 
 
@@ -348,8 +359,44 @@ def test_verify_command_field_operation_counts(monkeypatch, capsys):
     counts = _count_field_operations(monkeypatch)
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert counts["mul"] <= 93
+    assert counts["mul"] <= 63
     assert counts["inverse"] <= 2
+
+
+def _count_endpoint_reads(monkeypatch) -> list[tuple[str, int]]:
+    """From now on, record each read of a segment's `a` or `b` as ``(end, k)``."""
+    reads = []
+    a, b = PhiSegment.a, PhiSegment.b
+
+    def counted(end, endpoint):
+        def read(segment):
+            reads.append((end, segment.k))
+            return endpoint.fget(segment)
+        return property(read)
+
+    monkeypatch.setattr(PhiSegment, "a", counted("A", a))
+    monkeypatch.setattr(PhiSegment, "b", counted("B", b))
+    return reads
+
+
+def test_text_verify_and_scan_build_no_endpoint(monkeypatch, capsys):
+    # the verdict reads t_A, t_B and the squared lengths; only a JSON
+    # report or a figure prints A and B, so only they build the points
+    reads = _count_endpoint_reads(monkeypatch)
+    assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
+    assert cli.main(["scan", "--radius", "1"]) == 0
+    assert "SCAN: PASS" in capsys.readouterr().out
+    assert reads == []
+
+
+def test_json_verify_and_render_build_each_endpoint_once(monkeypatch, capsys, tmp_path):
+    once = sorted((end, k) for end in "AB" for k in range(1, 7))
+    reads = _count_endpoint_reads(monkeypatch)
+    assert cli.main(["verify", "--json", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
+    assert sorted(reads) == once
+    reads.clear()
+    assert cli.main(["render", "--out", str(tmp_path / "figure.svg")]) == 0
+    assert sorted(reads) == once
 
 
 def _count_calls(monkeypatch, function) -> list[int]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,30 @@ def test_unique_representation_gives_structural_equality():
 def test_hash_consistent_with_rational_equality():
     assert hash(QuadExt(Fraction(3, 2))) == hash(Fraction(3, 2))
     assert len({QuadExt(2), QuadExt(2, 0, 0, 0)}) == 1
+
+
+MODULUS = sys.hash_info.modulus  # 2**61 - 1 on 64-bit builds
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(-2), Fraction(-7, 3), Fraction(-1, 2),
+    Fraction(1, MODULUS), Fraction(-1, MODULUS), Fraction(5, MODULUS), Fraction(MODULUS - 1, 2),
+    Fraction(1, 3 * MODULUS), Fraction(-1, 3 * MODULUS), Fraction(7, MODULUS**2),
+    Fraction(MODULUS), Fraction(-MODULUS, 2), Fraction(10**40, 3), Fraction(-(10**40), 7),
+])
+def test_rational_hash_matches_fraction_hash(value):
+    # a rational QuadExt hashes from its ints as Fraction does, including a
+    # denominator with no inverse modulo the hash modulus and the -1 -> -2 rule
+    assert hash(QuadExt(value)) == hash(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(), st.integers(min_value=0, max_value=3))
+def test_rational_hash_matches_fraction_hash_sweep(value, power):
+    # the scaled denominators reach multiples and powers of the hash modulus
+    value /= MODULUS**power
+    assert hash(QuadExt(value)) == hash(value)
+    assert hash(QuadExt(value) * QuadExt(0, 1) * QuadExt(0, 1) / 3) == hash(value)
 
 
 # --- arithmetic ------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import hexphi.render as render
 from hexphi.construction import build_cluster, make_report
 from hexphi.render import render_svg
 from hexphi.tessellation import HexIndex, VertexRef
@@ -85,6 +86,28 @@ def test_byte_determinism_across_runs():
 
 def test_matches_golden_file():
     assert _default_svg() == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("vertex, side, expected", [
+    (VertexRef(HexIndex(0, 0), 0), Fraction(1), 60),
+    (VertexRef(HexIndex(2, -1), 3), Fraction(5, 7), None),
+])
+def test_each_distinct_value_is_rounded_once(monkeypatch, vertex, side, expected):
+    # a figure repeats centers, radii and endpoints across its layers; each
+    # distinct field value is rounded once, equal values sharing a hash
+    report = make_report(build_cluster(vertex, side))
+    rounded = []
+    to_decimal = render.to_decimal
+
+    def counted(value, frac_digits):
+        rounded.append(value)
+        return to_decimal(value, frac_digits)
+
+    monkeypatch.setattr(render, "to_decimal", counted)
+    render_svg(report)
+    assert len(rounded) == len(set(rounded))
+    if expected is not None:
+        assert len(rounded) == expected
 
 
 def test_view_box_covers_large_circles_with_margin():
