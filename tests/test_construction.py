@@ -216,22 +216,24 @@ def test_report_json_shape(capsys):
 
 def test_report_checks_every_distinct_triple(monkeypatch, capsys):
     # segments that share a triple share one check, but a segment whose
-    # triple differs gets its own: doctoring the third alone must fail it
+    # triple differs gets its own: doctoring any one past the first alone
+    # must fail both the identity and the equal lengths
     cluster = build_cluster(ORIGIN_VERTEX)
     segments = construct_segments(cluster)
-    third = segments[2]
-    doctored = (*segments[:2], third._replace(ab2=third.ab2 * 2), *segments[3:])
-    monkeypatch.setattr(construction, "construct_segments", lambda _cluster: doctored)
-    report = make_report(cluster)
-    assert not report.phi_exact_ok
-    assert not report.equal_lengths_ok
-    assert cli.main(["verify"]) == 1
-    out = capsys.readouterr().out
-    assert [line for line in out.splitlines() if line.startswith("segment ")] == [
-        "segment 3: |AB|^2 == Phi^2 * |AO|^2 fails",
-    ]
-    assert "segments have 2 distinct |AB|^2 values" in out
-    assert "PHI-EXACT: FAIL" in out
+    for index in range(1, 6):
+        doctored = list(segments)
+        doctored[index] = segments[index]._replace(ab2=segments[index].ab2 * 2)
+        monkeypatch.setattr(construction, "construct_segments", lambda _cluster: tuple(doctored))
+        report = make_report(cluster)
+        assert not report.phi_exact_ok
+        assert not report.equal_lengths_ok
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("segment ")] == [
+            f"segment {index + 1}: |AB|^2 == Phi^2 * |AO|^2 fails",
+        ]
+        assert "segments have 2 distinct |AB|^2 values" in out
+        assert "PHI-EXACT: FAIL" in out
 
 
 def test_report_on_a_doctored_segment_fails(monkeypatch, capsys):

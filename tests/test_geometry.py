@@ -167,6 +167,19 @@ def test_direction_order_walks_counterclockwise():
     assert sorted(shuffled, key=cmp_to_key(compare_directions)) == dirs
 
 
+def test_direction_comparison_returns_minus_one_zero_or_one():
+    one, zero = QuadExt(1), QuadExt(0)
+    assert compare_directions((one, zero), (-one, zero)) == -1
+    assert compare_directions((-one, zero), (one, zero)) == 1
+    dirs = [
+        (one, zero), (SQRT3_HALF, QuadExt(HALF)), (zero, one), (-SQRT3_HALF, QuadExt(HALF)),
+        (-one, zero), (zero, -one), (SQRT3_HALF, QuadExt(-HALF)),
+    ]
+    for i, d1 in enumerate(dirs):
+        for j, d2 in enumerate(dirs):
+            assert compare_directions(d1, d2) == (i > j) - (i < j)
+
+
 def test_direction_comparison_treats_parallel_as_equal():
     d1 = (QuadExt(1), SQRT3)
     d2 = (QuadExt(2), SQRT3 * 2)

@@ -120,8 +120,10 @@ def test_canonicalization_is_idempotent(q, r, corner):
 
 
 def test_incident_hexagons_example():
-    hexes = incident_hexagons(VertexRef(HexIndex(0, 0), 0))
+    vertex = VertexRef(HexIndex(0, 0), 0)
+    hexes = incident_hexagons(vertex)
     assert hexes == (HexIndex(0, 0), HexIndex(1, -1), HexIndex(1, 0))
+    assert hexes[0] == vertex.hex
 
 
 def test_incident_hexagons_brute_force_oracle():
@@ -142,6 +144,7 @@ def test_incident_centers_are_at_side_distance(q, r, corner, side):
     point = vertex_point(vertex, side)
     hexes = incident_hexagons(vertex)
     assert len(set(hexes)) == 3
+    assert hexes[0] == vertex.hex
     for hexagon in hexes:
         assert squared_distance(point, hex_center(hexagon, side)) == QuadExt(side * side)
 
@@ -180,15 +183,35 @@ def test_enumerate_vertices_sorted_and_canonical():
 
 def test_enumerate_vertices_matches_geometric_dedup():
     """Count distinct corner points directly, as a geometry-level oracle."""
-    points = set()
-    for q in range(-1, 2):
-        for r in range(-1, 2):
-            if abs(q + r) > 1:
-                continue
-            points.update(hex_corners(HexIndex(q, r)))
-    listed = {vertex_point(v) for v in enumerate_vertices(1)}
-    assert points == listed
-    assert len(points) == 24
+    for n in range(5):
+        points = set()
+        for q in range(-n, n + 1):
+            for r in range(-n, n + 1):
+                if abs(q + r) > n:
+                    continue
+                points.update(hex_corners(HexIndex(q, r)))
+        listed = [vertex_point(v) for v in enumerate_vertices(n)]
+        assert points == set(listed)
+        assert len(listed) == len(points) == 6 * (n + 1) ** 2
+
+
+def test_canonical_name_is_the_smallest_coinciding_corner():
+    """Exhaustively near the origin: a reference names the smallest (q, r, corner)
+    whose corner point coincides with its own, and its hexagons are those names'."""
+    names: dict[Point, list[tuple[int, int, int]]] = {}
+    for q in range(-5, 6):
+        for r in range(-5, 6):
+            for corner, point in enumerate(hex_corners(HexIndex(q, r))):
+                names.setdefault(point, []).append((q, r, corner))
+    for q in range(-3, 4):
+        for r in range(-3, 4):
+            for corner in range(6):
+                vertex = VertexRef(HexIndex(q, r), corner)
+                aliases = names[hex_corners(HexIndex(q, r))[corner]]
+                assert len(aliases) == 3
+                assert (vertex.hex.q, vertex.hex.r, vertex.corner) == min(aliases)
+                assert incident_hexagons(vertex) == tuple(
+                    HexIndex(aq, ar) for aq, ar, _ in sorted(aliases))
 
 
 @given(AXIAL, AXIAL, CORNERS)
