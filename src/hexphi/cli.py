@@ -149,29 +149,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     vertices = enumerate_vertices(args.radius)
     failures = []
-    results = []
+    results = []  # for --json only: text lines print as each vertex is verified
     for vertex in vertices:
         report = make_report(build_cluster(vertex, args.side))
         ok = report.phi_exact_ok and report.equal_lengths_ok
-        results.append((vertex, ok))
         if not ok:
             failures.append(vertex)
+        if args.json:
+            results.append({"vertex": str(vertex), "ok": ok})
+        else:
+            print(f"{vertex} {'PASS' if ok else 'FAIL'}")
     if args.json:
         _print_json(
             {
                 "radius": args.radius,
                 "side": format_fraction(args.side),
                 "decimal_separator": DECIMAL_SEPARATOR,
-                "vertices": [{"vertex": str(v), "ok": ok} for v, ok in results],
-                "total": len(results),
+                "vertices": results,
+                "total": len(vertices),
                 "failures": [str(v) for v in failures],
                 "all_ok": not failures,
             }
         )
     else:
-        for vertex, ok in results:
-            print(f"{vertex} {'PASS' if ok else 'FAIL'}")
-        print(f"vertices = {len(results)}")
+        print(f"vertices = {len(vertices)}")
         print(f"failures = {len(failures)}")
         print(f"SCAN: {'PASS' if not failures else 'FAIL'}")
     return 0 if not failures else 1

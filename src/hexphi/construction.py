@@ -117,9 +117,8 @@ def build_cluster(vertex: VertexRef, side: int | Fraction = 1) -> Cluster:
     O lies on each middle circle because a hexagon's circumradius equals its side.
     """
     side = positive_rational("side", side)
-    hexagons = incident_hexagons(vertex)  # vertex.hex is one of them
-    centers = tuple((hexagon, _center(hexagon, side)) for hexagon in hexagons)
-    o = _corner(centers[hexagons.index(vertex.hex)][1], side, vertex.corner)
+    centers = tuple((hexagon, _center(hexagon, side)) for hexagon in incident_hexagons(vertex))
+    o = _corner(vertex.hex, side, vertex.corner)
     return Cluster(vertex=vertex, side=side, o=o, centers=centers)
 
 

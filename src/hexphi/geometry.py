@@ -7,10 +7,11 @@ reduces to the exact sign of a field element, so it is decided without
 tolerances.
 
 Square roots are taken through :func:`hexphi.exact.sqrt_exact`, which only
-accepts rational radicands.  The roots taken are a point's distance to a
-circle's center and its tangent length; one that would leave the field raises
-:class:`hexphi.exact.NotRepresentable`.  Both roots, and the one inverse (of
-the squared distance), depend only on that distance and the radius:
+accepts rational radicands.  The one root taken is a point's tangent length
+to a circle; one that would leave the field raises
+:class:`hexphi.exact.NotRepresentable`.  The distance to the circle's center
+is never taken, only its square.  That root, and the one inverse (of the
+squared distance), depend only on that distance and the radius:
 `tangent_frame` takes them once and returns a `Frame`, the cosine and sine of
 the tangent's angle already divided by the distance, and
 `tangent_lines_in_frame` rotates the raw offset toward each center by it, so
@@ -63,13 +64,13 @@ def tangent_frame(dist2: QuadExt, radius: QuadExt) -> Frame:
 
     cos(theta) and sin(theta) are the exact ratios tangent_length/|pc| and
     radius/|pc|, so the frame is the tangent length and the radius over
-    `dist2`: one inverse and no division by |pc| itself.  p must lie outside
-    the circle: for an interior point the squared tangent length is negative
-    and `sqrt_exact` raises NegativeInput.  Raises NotRepresentable when |pc|
-    or the tangent length is irrational in the field.
+    `dist2`: one inverse, one square root (of the squared tangent length) and
+    no |pc| itself, which may lie outside the field.  p must lie outside the
+    circle: for an interior point the squared tangent length is negative and
+    `sqrt_exact` raises NegativeInput.  Raises NotRepresentable when the
+    tangent length is irrational in the field.
     """
     reach2 = dist2 - radius * radius  # squared tangent length
-    sqrt_exact(dist2)  # only to refuse an |pc| outside the field
     inv_dist2 = dist2.inverse()
     return sqrt_exact(reach2) * inv_dist2, radius * inv_dist2
 

@@ -50,13 +50,10 @@ def render_svg(report: PhiReport) -> str:
 
     # bounding box of the three large circles, plus 5% margin per side
     large = cluster.radii[2]
-    xs: list[QuadExt] = []
-    ys: list[QuadExt] = []
-    for _, center in cluster.centers:
-        xs += [center.x - large, center.x + large]
-        ys += [center.y - large, center.y + large]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
+    xs = [center.x for _, center in cluster.centers]
+    ys = [center.y for _, center in cluster.centers]
+    x_min, x_max = min(xs) - large, max(xs) + large
+    y_min, y_max = min(ys) - large, max(ys) + large
     width = x_max - x_min
     height = y_max - y_min
     margin_x = width * Fraction(1, 20)

@@ -6,9 +6,12 @@ A hexagon ``(q, r)`` with side length ``s`` is centered at
 live in the exact field, so vertex coincidence is decidable by equality.
 
 Each geometric vertex is shared by exactly three hexagons and therefore has
-three ``(hexagon, corner)`` names.  A :class:`VertexRef` normalizes itself to
-the lexicographically smallest ``(q, r, corner)`` of the three, which makes
-reference equality coincide with geometric identity.
+three ``(hexagon, corner)`` names.  A {6;3} tessellation has two kinds of
+vertex: corner 0 of its leftmost hexagon, the other two lying below right and
+above right, and corner 1 of its lower left hexagon, the others lying above
+left and to the right.  That name is the smallest ``(q, r, corner)`` of the
+three, and a :class:`VertexRef` rewrites itself to it from a table, which
+makes reference equality coincide with geometric identity.
 """
 
 from __future__ import annotations
@@ -19,8 +22,12 @@ from fractions import Fraction
 from .exact import MAX_DIGITS, _reduced, positive_rational, quoted
 from .geometry import Point
 
-#: Axial steps to the six neighbors, listed by azimuth 30 + 60*i degrees.
-_NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+# corner k of hexagon (q, r) is corner 0 or 1 of hexagon (q + dq, r + dr):
+# _CANONICAL[k] is (dq, dr, that corner)
+_CANONICAL = ((0, 0, 0), (0, 0, 1), (-1, 1, 0), (-1, 0, 1), (-1, 0, 0), (0, -1, 1))
+
+# axial offsets of the three hexagons at corner 0 and at corner 1, sorted
+_INCIDENT = (((0, 0), (1, -1), (1, 0)), ((0, 0), (0, 1), (1, 0)))
 
 # corner k offset from the center: side * (cos 60k, sin 60k), that is
 # side/2 * (_CORNER_X[k], _CORNER_Y[k] * sqrt3)
@@ -40,22 +47,13 @@ class HexIndex(namedtuple("HexIndex", "q r")):
         return f"{self.q},{self.r}"
 
 
-def _names(q: int, r: int, corner: int) -> tuple[tuple[int, int, int], ...]:
-    """The three ``(q, r, corner)`` names of one vertex, this one first."""
-    (q1, r1), (q2, r2) = _NEIGHBOR_STEPS[(corner - 1) % 6], _NEIGHBOR_STEPS[corner]
-    return (
-        (q, r, corner),
-        (q + q1, r + r1, (corner + 2) % 6),
-        (q + q2, r + r2, (corner + 4) % 6),
-    )
-
-
 class VertexRef(namedtuple("VertexRef", "hex corner")):
     """A tessellation vertex, stored in canonical (q, r, corner) form.
 
     Any of the three equivalent (hexagon, corner) names may be passed in;
-    the constructor rewrites it to the smallest one, so two references are
-    equal exactly when they name the same geometric point.
+    the constructor rewrites it to the smallest one, whose corner is 0 or 1,
+    so two references are equal exactly when they name the same geometric
+    point.
     """
 
     __slots__ = ()
@@ -63,8 +61,8 @@ class VertexRef(namedtuple("VertexRef", "hex corner")):
     def __new__(cls, hex: HexIndex, corner: int) -> VertexRef:
         if not isinstance(corner, int) or not 0 <= corner <= 5:
             raise ValueError("corner must be an integer in 0..5")
-        q, r, corner = min(_names(hex.q, hex.r, corner))
-        return super().__new__(cls, HexIndex(q, r), corner)
+        dq, dr, corner = _CANONICAL[corner]
+        return super().__new__(cls, HexIndex(hex.q + dq, hex.r + dr), corner)
 
     @classmethod
     def from_string(cls, text: str) -> VertexRef:
@@ -88,50 +86,51 @@ class VertexRef(namedtuple("VertexRef", "hex corner")):
         return f"{self.hex.q},{self.hex.r},{self.corner}"
 
 
+def _point(x: int, y: int, side: Fraction) -> Point:
+    """side/2 * (x, y*sqrt3) for a side checked by `positive_rational`."""
+    p, den = side.numerator, 2 * side.denominator
+    return Point._make((_reduced(x * p, 0, 0, 0, den), _reduced(0, y * p, 0, 0, den)))
+
+
 def _center(hexagon: HexIndex, side: Fraction) -> Point:
-    """side * (3q/2, (q/2 + r)*sqrt3) for a side checked by `positive_rational`."""
-    p, den = side.numerator, 2 * side.denominator
-    x = _reduced(3 * hexagon.q * p, 0, 0, 0, den)
-    y = _reduced(0, (hexagon.q + 2 * hexagon.r) * p, 0, 0, den)
-    return Point._make((x, y))
+    """side * (3q/2, (q/2 + r)*sqrt3)."""
+    return _point(3 * hexagon.q, hexagon.q + 2 * hexagon.r, side)
 
 
-def _corner(center: Point, side: Fraction, k: int) -> Point:
-    p, den = side.numerator, 2 * side.denominator
-    x = _reduced(_CORNER_X[k] * p, 0, 0, 0, den)
-    y = _reduced(0, _CORNER_Y[k] * p, 0, 0, den)
-    return Point._make((center.x + x, center.y + y))
+def _corner(hexagon: HexIndex, side: Fraction, k: int) -> Point:
+    return _point(3 * hexagon.q + _CORNER_X[k], hexagon.q + 2 * hexagon.r + _CORNER_Y[k], side)
 
 
 def hex_corners(hexagon: HexIndex, side: int | Fraction = 1) -> list[Point]:
     """The six corner points, corner 0 first."""
     side = positive_rational("side", side)
-    center = _center(hexagon, side)
-    return [_corner(center, side, k) for k in range(6)]
+    return [_corner(hexagon, side, k) for k in range(6)]
 
 
 def incident_hexagons(vertex: VertexRef) -> tuple[HexIndex, HexIndex, HexIndex]:
-    """The three hexagons sharing the vertex, sorted by (q, r)."""
-    first, second, third = sorted(
-        HexIndex(q, r) for q, r, _ in _names(vertex.hex.q, vertex.hex.r, vertex.corner)
-    )
-    return (first, second, third)
+    """The three hexagons sharing a canonical vertex, sorted by (q, r): `vertex.hex` first."""
+    if vertex.corner not in (0, 1):  # a `_replace`d corner, say
+        raise ValueError(f"vertex {vertex} is not in canonical form")
+    q, r = vertex.hex
+    return tuple(HexIndex._make((q + dq, r + dr)) for dq, dr in _INCIDENT[vertex.corner])
 
 
 def enumerate_vertices(patch_radius: int) -> list[VertexRef]:
     """All distinct vertices of the hexagons with |q|, |r|, |q+r| <= patch_radius.
 
-    Returned in canonical form, sorted by (q, r, corner).  The patch of
-    radius n holds 3n(n+1)+1 hexagons and 6(n+1)**2 distinct vertices.
+    Returned in canonical form, sorted by (q, r, corner): the canonical names
+    are visited in that order, and a name is kept when one of its three
+    hexagons lies in the patch.  The patch of radius n holds 3n(n+1)+1
+    hexagons and 6(n+1)**2 distinct vertices.
     """
     if patch_radius < 0:
         raise ValueError("patch radius must be nonnegative")
     n = patch_radius
-    found = set()
-    for q in range(-n, n + 1):
-        for r in range(-n, n + 1):
-            if abs(q + r) > n:
-                continue
-            for corner in range(6):
-                found.add(VertexRef(HexIndex(q, r), corner))
-    return sorted(found)
+    return [
+        VertexRef._make((HexIndex._make((q, r)), corner))
+        for q in range(-n - 1, n + 1)
+        for r in range(-n - 1, n + 2)
+        for corner in (0, 1)
+        if any(abs(q + dq) <= n and abs(r + dr) <= n and abs(q + dq + r + dr) <= n
+               for dq, dr in _INCIDENT[corner])
+    ]

@@ -351,6 +351,24 @@ def test_fib_prints_each_row_as_it_is_made(capsys, monkeypatch):
     ]
 
 
+def test_scan_prints_each_vertex_as_it_is_verified(capsys, monkeypatch):
+    printed = []  # stdout so far, read as each vertex is about to be verified
+
+    def recording(cluster):
+        printed.append(capsys.readouterr().out)
+        return construction.make_report(cluster)
+
+    monkeypatch.setattr(cli, "make_report", recording)
+    assert main(["scan", "--radius", "0"]) == 0
+    rest = capsys.readouterr().out
+    assert printed[:3] == ["", "-1,0,0 PASS\n", "-1,0,1 PASS\n"]
+    assert len(printed) == 6
+    assert "".join(printed) + rest == (
+        "-1,0,0 PASS\n-1,0,1 PASS\n-1,1,0 PASS\n0,-1,1 PASS\n0,0,0 PASS\n0,0,1 PASS\n"
+        "vertices = 6\nfailures = 0\nSCAN: PASS\n"
+    )
+
+
 def test_fib_max_must_be_at_least_two(capsys):
     assert run(capsys, "fib", "--max", "1")[0] == 2
 

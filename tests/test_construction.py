@@ -436,12 +436,12 @@ def test_fib_table_makes_no_sign_call(monkeypatch, capsys):
 
 
 def test_square_roots_per_verify(monkeypatch, capsys):
-    # |O - C| and the tangent length once for the shared frame, and one
-    # quarter discriminant per distinct (lead, half)
+    # the tangent length once for the shared frame, and one quarter
+    # discriminant per distinct (lead, half)
     calls = _count_calls(monkeypatch, sqrt_exact)
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert 0 < len(calls) <= 3
+    assert 0 < len(calls) <= 2
 
 
 def test_all_patch_vertices_verify():

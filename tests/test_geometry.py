@@ -7,7 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 from geometry_checks import is_tangent, squared_distance, squared_distance_point_line
-from hexphi.exact import SQRT3, NegativeInput, NotRepresentable, QuadExt
+from hexphi.exact import SQRT3, NegativeInput, QuadExt
 from hexphi.geometry import (
     ParamLine,
     Point,
@@ -110,9 +110,11 @@ def test_tangent_from_interior_point_rejected():
         _tangent_lines(Point(0, 0), Point(1, 0), QuadExt(2))
 
 
-def test_tangent_with_irrational_center_distance_rejected():
-    with pytest.raises(NotRepresentable):
-        _tangent_lines(Point(0, 0), Point(1, 1), QuadExt(1))
+def test_tangent_with_irrational_center_distance_is_exact():
+    # |pc| = sqrt2 leaves the field, but the tangent length 1 does not, and
+    # the frame needs only |pc|^2: the tangents are the lines y = 0 and x = 0
+    lines = _tangent_lines(Point(0, 0), Point(1, 1), QuadExt(1))
+    assert [line.dir for line in lines] == [(QuadExt(1), QuadExt(0)), (QuadExt(0), QuadExt(1))]
 
 
 def test_constructed_tangents_are_tangent():
@@ -165,16 +167,9 @@ def test_direction_order_walks_counterclockwise():
     ]
     shuffled = dirs[::-1]
     assert sorted(shuffled, key=cmp_to_key(compare_directions)) == dirs
-
-
-def test_direction_comparison_returns_minus_one_zero_or_one():
-    one, zero = QuadExt(1), QuadExt(0)
-    assert compare_directions((one, zero), (-one, zero)) == -1
-    assert compare_directions((-one, zero), (one, zero)) == 1
-    dirs = [
-        (one, zero), (SQRT3_HALF, QuadExt(HALF)), (zero, one), (-SQRT3_HALF, QuadExt(HALF)),
-        (-one, zero), (zero, -one), (SQRT3_HALF, QuadExt(-HALF)),
-    ]
+    # exactly -1, 0 or +1, opposite axis directions included
+    assert compare_directions(dirs[0], dirs[4]) == -1
+    assert compare_directions(dirs[4], dirs[0]) == 1
     for i, d1 in enumerate(dirs):
         for j, d2 in enumerate(dirs):
             assert compare_directions(d1, d2) == (i > j) - (i < j)

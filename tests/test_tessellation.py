@@ -94,6 +94,9 @@ def test_vertex_ref_rejects_bad_corner():
         VertexRef(HexIndex(0, 0), 9)
     with pytest.raises(ValueError):
         VertexRef(HexIndex(0, 0), -1)
+    for corner in (-1, 2, 5):  # _replace skips the constructor's rewrite
+        with pytest.raises(ValueError, match="not in canonical form"):
+            incident_hexagons(VertexRef(HexIndex(0, 0), 0)._replace(corner=corner))
 
 
 def test_vertex_ref_parsing():
