@@ -28,7 +28,7 @@ from .exact import (
     to_decimal,
 )
 from .fibonacci import Convergent, assess_nearest, convergent, convergents
-from .geometry import ParamLine, Point, compare_directions
+from .geometry import ParamLine, Point
 from .render import render_svg
 from .tessellation import HexIndex, VertexRef, enumerate_vertices, hex_corners, incident_hexagons
 
@@ -55,7 +55,6 @@ __all__ = [
     "as_quadext",
     "assess_nearest",
     "build_cluster",
-    "compare_directions",
     "construct_segments",
     "convergent",
     "convergents",

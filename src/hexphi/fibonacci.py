@@ -37,7 +37,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .exact import HALF_EVEN, PHI, QuadExt, _new, _reduced, parse_rational, sign, to_decimal
+from .exact import HALF_EVEN, PHI, QuadExt, _new, _reduced, parse_rational, to_decimal
 
 
 class Convergent(namedtuple("Convergent", "n fn fn_1")):
@@ -127,8 +127,8 @@ def assess_nearest(value: str | Fraction | int) -> Convergent:
     """The convergent whose ratio is closest to `value`; ties pick smaller n.
 
     `value` may be a rational string ("p/q" or a decimal with either
-    separator) or an exact rational.  One field sign tells the target's side
-    of phi; the search walks that side's convergents, from two steps before
+    separator) or an exact rational.  The int p^2 - pq - q^2 tells the target's
+    side of phi; the search walks that side's convergents, from two steps before
     `_bracket_index`, up to the first one between phi and the target and
     returns it or the one before it, whichever is closer by cross-multiplied
     ints (see the module docstring).
@@ -137,7 +137,7 @@ def assess_nearest(value: str | Fraction | int) -> Convergent:
     if target <= 0:
         raise ValueError("ratio must be positive")
     p, q = target.numerator, target.denominator
-    side = sign(QuadExt(target) - PHI)  # phi is irrational, so side != 0
+    side = 1 if p * p - p * q - q * q > 0 else -1  # the sign of p/q - phi, never 0
     first = 2 if side < 0 else 3
     estimate = max(first, _bracket_index(p, q) - 4)
     # walk again from the first near-side convergent only if the estimated start is past t

@@ -1,10 +1,8 @@
-"""Exact plane geometry over the field: points, parametric lines, the tangent
-frame, angular ordering.
+"""Exact plane geometry over the field: points, parametric lines and the
+tangent frame.
 
 Lines are parametric, ``origin + t * dir``, with no unit-length requirement on
-``dir``; line parameters are therefore relative to ``|dir|``.  Angular order
-reduces to the exact sign of a field element, so it is decided without
-tolerances.
+``dir``; line parameters are therefore relative to ``|dir|``.
 
 Square roots are taken through :func:`hexphi.exact.sqrt_exact`, which only
 accepts rational radicands.  The one root taken is a point's tangent length
@@ -17,6 +15,11 @@ the tangent's angle already divided by the distance, and
 `tangent_lines_in_frame` rotates the raw offset toward each center by it, so
 circles of equal radius at equal distance share one frame.  The point must
 lie outside the circle, as the construction's vertex does.
+
+The two tangents come in angle order over [0, 2*pi) with no angle compared.
+The frame's cosine is >= 0 and, for radius > 0, its sine > 0, so the one turned
+by +theta is the other turned counterclockwise by 2*theta in (0, pi]: second,
+unless the turn wraps past 0, when the other is in [pi, 2*pi) and it in [0, pi).
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def tangent_frame(dist2: QuadExt, radius: QuadExt) -> Frame:
     no |pc| itself, which may lie outside the field.  p must lie outside the
     circle: for an interior point the squared tangent length is negative and
     `sqrt_exact` raises NegativeInput.  Raises NotRepresentable when the
-    tangent length is irrational in the field.
+    tangent length is irrational in the field.  Ordering the tangents needs radius > 0.
     """
     reach2 = dist2 - radius * radius  # squared tangent length
     inv_dist2 = dist2.inverse()
@@ -78,33 +81,19 @@ def tangent_frame(dist2: QuadExt, radius: QuadExt) -> Frame:
 def tangent_lines_in_frame(p: Point, cx: QuadExt, cy: QuadExt, frame: Frame) -> list[ParamLine]:
     """The two tangent lines through `p`, sorted by direction angle, toward a
     center at offset ``(cx, cy)`` from `p`: that offset rotated by +/-theta
-    and divided by |pc|, which `frame`, from `tangent_frame`, folds in."""
+    and divided by |pc|, which `frame`, from `tangent_frame`, folds in.  For
+    radius > 0 the half-plane rule of the module docstring orders them."""
     cos_t, sin_t = frame
     cos_x, sin_y, sin_x, cos_y = cos_t * cx, sin_t * cy, sin_t * cx, cos_t * cy
     plus: Direction = (cos_x - sin_y, sin_x + cos_y)
     minus: Direction = (cos_x + sin_y, cos_y - sin_x)
-    if compare_directions(plus, minus) > 0:
-        plus, minus = minus, plus
-    return [ParamLine(p, plus), ParamLine(p, minus)]
+    if _lower_half(minus) and not _lower_half(plus):
+        return [ParamLine._make((p, plus)), ParamLine._make((p, minus))]
+    return [ParamLine._make((p, minus)), ParamLine._make((p, plus))]
 
 
-def _direction_class(direction: Direction) -> int:
-    # 0: positive x-axis, 1: open upper half, 2: negative x-axis, 3: open lower half
+def _lower_half(direction: Direction) -> bool:
+    """Whether `direction` points below the x-axis or along its negative half: [pi, 2*pi)."""
     dx, dy = direction
     sy = sign(dy)
-    if sy > 0:
-        return 1
-    if sy < 0:
-        return 3
-    return 0 if sign(dx) > 0 else 2
-
-
-def compare_directions(d1: Direction, d2: Direction) -> int:
-    """Order directions by angle in [0, 2*pi); -1, 0 or +1, decided exactly."""
-    c1 = _direction_class(d1)
-    c2 = _direction_class(d2)
-    if c1 != c2:
-        return -1 if c1 < c2 else 1
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    return -sign(cross)
-
+    return sy < 0 or (sy == 0 and sign(dx) < 0)

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .construction import PhiReport
 from .exact import QuadExt, sign, to_decimal
+from .geometry import _lower_half
 from .tessellation import hex_corners
 
 _SVG_OPEN = '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -100,7 +101,7 @@ def render_svg(report: PhiReport) -> str:
     carriers: list[tuple[QuadExt, QuadExt]] = []
     for segment in report.segments:
         dx, dy = segment.line.dir
-        if sign(dy) < 0 or (sign(dy) == 0 and sign(dx) < 0):
+        if _lower_half((dx, dy)):
             dx, dy = -dx, -dy  # orient into the upper half-plane
         if (dx, dy) not in carriers:
             carriers.append((dx, dy))
@@ -127,15 +128,15 @@ def render_svg(report: PhiReport) -> str:
     out.append("</g>\n")
 
     # O, A1, B1, ..., A6, B6 and the place of each one's label: O's below left
-    # of it, an endpoint's 3% of the viewBox size outward along its carrier,
-    # which stays inside the field because the carrier directions are unit vectors
+    # of it, an endpoint's 3% of the viewBox size outward along its unit-length
+    # carrier, so inside the field; point - O is t*dir, so outward is sign(t)
     offset = size * Fraction(3, 100)
     o = cluster.o
     points = [("O", o, o.x - offset, o.y - offset)]
     for segment, (a, b) in zip(report.segments, ends):
         dx, dy = segment.line.dir
-        for end, point in (("A", a), ("B", b)):
-            push = sign((point.x - o.x) * dx + (point.y - o.y) * dy) * offset
+        for end, point, t in (("A", a, segment.t_a), ("B", b, segment.t_b)):
+            push = offset if sign(t) > 0 else -offset
             points.append((f"{end}{segment.k}", point, point.x + push * dx, point.y + push * dy))
 
     marker_half = size * Fraction(1, 160)

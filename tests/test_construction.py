@@ -323,7 +323,7 @@ def test_construction_field_operation_counts(monkeypatch):
     cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     counts = _count_field_operations(monkeypatch)
     construct_segments(cluster)
-    assert counts["mul"] <= 61
+    assert counts["mul"] <= 57
     assert counts["inverse"] <= 2
 
 
@@ -361,8 +361,16 @@ def test_verify_command_field_operation_counts(monkeypatch, capsys):
     counts = _count_field_operations(monkeypatch)
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert counts["mul"] <= 63
+    assert counts["mul"] <= 59
     assert counts["inverse"] <= 2
+
+
+def test_default_figure_field_operation_counts(monkeypatch, capsys, tmp_path):
+    # the construction, the carriers' orientation and each label's side read
+    # from the sign of its endpoint's t, with no product of point and direction
+    counts = _count_field_operations(monkeypatch)
+    assert cli.main(["render", "--out", str(tmp_path / "figure.svg")]) == 0
+    assert counts["mul"] <= 153
 
 
 def _count_endpoint_reads(monkeypatch) -> list[tuple[str, int]]:
@@ -418,13 +426,15 @@ def _count_calls(monkeypatch, function) -> list[int]:
 def test_sign_calls_per_verify_and_per_cluster(monkeypatch, capsys):
     # a cluster is its centers and side: no circle to check, so no sign call;
     # the tangent frame takes no sign either, since O is always outside the
-    # small circles (a negative squared tangent length fails in sqrt_exact)
+    # small circles (a negative squared tangent length fails in sqrt_exact);
+    # a hexagon's tangent pair takes at most two, the half-plane of each
+    # direction, and a solve one, the side of t_A
     calls = _count_calls(monkeypatch, sign)
     build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     assert len(calls) == 0
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert len(calls) <= 10
+    assert len(calls) <= 6
 
 
 def test_fib_table_makes_no_sign_call(monkeypatch, capsys):
@@ -432,6 +442,15 @@ def test_fib_table_makes_no_sign_call(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, sign)
     assert cli.main(["fib", "--max", "500"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 502
+    assert len(calls) == 0
+
+
+def test_assess_makes_no_sign_call(monkeypatch, capsys):
+    # the target's side of phi is the sign of the int p^2 - pq - q^2
+    calls = _count_calls(monkeypatch, sign)
+    for ratio in ("1.6181818181", "1.6", "3/2", "89/55", "1e-9", "1000"):
+        assert cli.main(["assess", "--ratio", ratio]) == 0
+    assert capsys.readouterr().out.count("variance = ") == 6
     assert len(calls) == 0
 
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 
 import pytest
 
@@ -11,7 +10,7 @@ from hexphi.exact import SQRT3, NegativeInput, QuadExt
 from hexphi.geometry import (
     ParamLine,
     Point,
-    compare_directions,
+    _lower_half,
     tangent_frame,
     tangent_lines_in_frame,
 )
@@ -154,30 +153,70 @@ def test_tangents_match_arcsin_rotation_oracle():
 
 # --- direction ordering -----------------------------------------------------------------
 
-def test_direction_order_walks_counterclockwise():
-    one = QuadExt(1)
-    dirs = [
-        (one, QuadExt(0)),          # 0
-        (SQRT3_HALF, QuadExt(HALF)),  # 30
-        (QuadExt(0), one),          # 90
-        (-SQRT3_HALF, QuadExt(HALF)),  # 150
-        (-one, QuadExt(0)),         # 180
-        (QuadExt(0), -one),         # 270
-        (SQRT3_HALF, QuadExt(-HALF)),  # 330
-    ]
-    shuffled = dirs[::-1]
-    assert sorted(shuffled, key=cmp_to_key(compare_directions)) == dirs
-    # exactly -1, 0 or +1, opposite axis directions included
-    assert compare_directions(dirs[0], dirs[4]) == -1
-    assert compare_directions(dirs[4], dirs[0]) == 1
-    for i, d1 in enumerate(dirs):
-        for j, d2 in enumerate(dirs):
-            assert compare_directions(d1, d2) == (i > j) - (i < j)
+ONE = QuadExt(1)
+# counterclockwise from the positive x-axis: 0, 30, 90, 150, 180, 270 and 330 degrees
+SEVEN_DIRECTIONS = [
+    (ONE, QuadExt(0)),
+    (SQRT3_HALF, QuadExt(HALF)),
+    (QuadExt(0), ONE),
+    (-SQRT3_HALF, QuadExt(HALF)),
+    (-ONE, QuadExt(0)),
+    (QuadExt(0), -ONE),
+    (SQRT3_HALF, QuadExt(-HALF)),
+]
 
 
-def test_direction_comparison_treats_parallel_as_equal():
-    d1 = (QuadExt(1), SQRT3)
-    d2 = (QuadExt(2), SQRT3 * 2)
-    assert compare_directions(d1, d2) == 0
-    assert compare_directions(d1, (-QuadExt(1), -SQRT3)) != 0
+def test_lower_half_is_the_angle_range_pi_to_two_pi():
+    # [pi, 2*pi) holds the negative x-axis but not the positive one
+    assert [_lower_half(d) for d in SEVEN_DIRECTIONS] == [False] * 4 + [True] * 3
+    for dx, dy in SEVEN_DIRECTIONS:
+        assert _lower_half((dx * 2, dy * 2)) == _lower_half((dx, dy))
+        assert _lower_half((-dx, -dy)) != _lower_half((dx, dy))
 
+
+# unit offsets every 30 degrees, 0 to 330
+UNIT_OFFSETS = [
+    (QuadExt(1), QuadExt(0)), (SQRT3_HALF, QuadExt(HALF)), (QuadExt(HALF), SQRT3_HALF),
+]
+UNIT_OFFSETS += [(-y, x) for x, y in UNIT_OFFSETS]
+UNIT_OFFSETS += [(-x, -y) for x, y in UNIT_OFFSETS]
+
+
+def _unit(direction) -> tuple[float, float]:
+    x, y = (_as_float(c) for c in direction)
+    norm = math.hypot(x, y)
+    return x / norm, y / norm
+
+
+# (|pc|, radius): the construction's frame (theta = 30 degrees), a 60-degree
+# one, and p on the circle (cosine 0, so the two tangents are opposite)
+@pytest.mark.parametrize("scale, radius", [
+    (QuadExt(1), QuadExt(HALF)),
+    (SQRT3, QuadExt(Fraction(3, 2))),
+    (QuadExt(2), QuadExt(2)),
+])
+def test_tangent_pair_comes_in_angle_order(scale, radius):
+    # a float atan2 oracle: the tangents lie at the offset's angle +/- theta,
+    # and the first has the smaller angle in [0, 2*pi); the pair whose turn
+    # by 2*theta wraps past angle 0 comes with the +theta tangent first
+    assert len(set(UNIT_OFFSETS)) == 12
+    p = Point(Fraction(1, 3), Fraction(-2, 7))
+    frame = tangent_frame(scale * scale, radius)
+    theta = math.asin(_as_float(radius) / _as_float(scale))
+    plus_first = []
+    for ux, uy in UNIT_OFFSETS:
+        lines = tangent_lines_in_frame(p, scale * ux, scale * uy, frame)
+        assert all(line.origin == p for line in lines)
+        first, second = (_unit(line.dir) for line in lines)
+        angle = [math.atan2(y, x) % (2 * math.pi) for x, y in (first, second)]
+        assert angle[0] < angle[1]
+        base = math.atan2(_as_float(uy), _as_float(ux))
+        plus = (math.cos(base + theta), math.sin(base + theta))
+        minus = (math.cos(base - theta), math.sin(base - theta))
+        if first == pytest.approx(plus, abs=1e-12):
+            assert second == pytest.approx(minus, abs=1e-12)
+            plus_first.append((ux, uy))
+        else:
+            assert first == pytest.approx(minus, abs=1e-12)
+            assert second == pytest.approx(plus, abs=1e-12)
+    assert 0 < len(plus_first) < len(UNIT_OFFSETS)

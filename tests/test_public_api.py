@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "as_quadext",
     "assess_nearest",
     "build_cluster",
-    "compare_directions",
     "construct_segments",
     "convergent",
     "convergents",
