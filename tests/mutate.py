@@ -13,8 +13,8 @@ number, so a name survives edits elsewhere in the file.  The text is the
 mutated expression, or for a constant the expression around it.  A name met
 twice in one module gets `` #2``, `` #3``... in order of appearance.
 
-Each mutant runs the whole Tier-1 suite with ``-x`` in a copy of the
-repository, the module's own test file first.  A mutant is killed when the
+Each mutant in turn runs the whole Tier-1 suite with ``-x`` in one copy of
+the repository, the module's own test file first.  A mutant is killed when the
 suite fails, or times out (a hang), and survives when it passes.  A survivor
 must be listed, with a one-line argument, in
 ``tests/data/equivalent_mutants.json``, and a listed mutant must survive, or
@@ -22,9 +22,8 @@ the run exits 1.  A survivor costs a whole suite run, so this is not part
 of Tier-1; `tests/test_mutate.py` only checks that every listed mutant still
 names a site.
 
-    python3 tests/mutate.py                      # construction, geometry, tessellation
-    python3 tests/mutate.py exact --jobs 2       # another module, two suites at once
-    python3 tests/mutate.py geometry --list      # print the sites, run nothing
+    python3 tests/mutate.py                  # construction, geometry, tessellation
+    python3 tests/mutate.py exact fibonacci  # other modules
 """
 
 from __future__ import annotations
@@ -33,14 +32,12 @@ import argparse
 import ast
 import json
 import os
-import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -172,10 +169,10 @@ def _run_suite(copy: Path, module: str) -> str:
     return "survived" if done.returncode == 0 else "killed"
 
 
-def run(modules: list[str], jobs: int) -> int:
-    """Run every mutant of `modules` in `jobs` copies of the repository; print
-    one line each and the counts.  Exit status 1 when a survivor is not an
-    accepted equivalent, or an accepted one is killed or no longer a site."""
+def run(modules: list[str]) -> int:
+    """Run every mutant of `modules`, one after another; print one line each
+    and the counts.  Exit status 1 when a survivor is not an accepted
+    equivalent, or an accepted one is killed or no longer a site."""
     accepted = load_equivalents()
     work = [(module, mutant) for module in modules for mutant in mutants(module)]
     counts = {"killed": 0, "timeout": 0, "equivalent": 0, "survived": 0}
@@ -183,32 +180,23 @@ def run(modules: list[str], jobs: int) -> int:
     stale -= {mutant.name for _, mutant in work}
     began = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="hexphi-mutate-") as scratch:
-        free: queue.Queue[Path] = queue.Queue()
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
-        for i in range(jobs):
-            free.put(shutil.copytree(ROOT, Path(scratch) / str(i), ignore=ignore))
-
-        def attempt(item: tuple[str, Mutant]) -> tuple[Mutant, str]:
-            module, mutant = item
-            copy = free.get()
+        copy = shutil.copytree(ROOT, Path(scratch) / "repo", ignore=ignore)
+        for module, mutant in work:
             target = copy / "src" / "hexphi" / f"{module}.py"
             original = target.read_text()
+            target.write_text(mutant.source)
             try:
-                target.write_text(mutant.source)
-                return mutant, _run_suite(copy, module)
+                outcome = _run_suite(copy, module)
             finally:
                 target.write_text(original)
-                free.put(copy)
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for mutant, outcome in pool.map(attempt, work):
-                if mutant.name in accepted:
-                    if outcome == "survived":
-                        outcome = "equivalent"
-                    else:
-                        stale.add(mutant.name)
-                counts[outcome] += 1
-                print(f"{outcome:10} {mutant.name}", flush=True)
+            if mutant.name in accepted:
+                if outcome == "survived":
+                    outcome = "equivalent"
+                else:
+                    stale.add(mutant.name)
+            counts[outcome] += 1
+            print(f"{outcome:10} {mutant.name}", flush=True)
     print(f"{len(work)} mutants of {', '.join(modules)} in {time.monotonic() - began:.0f} s: "
           + ", ".join(f"{n} {outcome}" for outcome, n in counts.items()))
     for name in sorted(stale):
@@ -220,20 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="mutate.py", description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="*", default=list(DEFAULT_MODULES),
                         help="hexphi modules to mutate (default: %(default)s)")
-    parser.add_argument("--jobs", type=int, default=1, help="suites run at once (default: 1)")
-    parser.add_argument("--list", action="store_true", help="print the mutants' names only")
     args = parser.parse_args(argv)
     unknown = [module for module in args.modules if not (PACKAGE / f"{module}.py").is_file()]
     if unknown:
         parser.error(f"no such module in {PACKAGE}: {', '.join(unknown)}")
-    if args.list:
-        for module in args.modules:
-            for mutant in mutants(module):
-                print(mutant.name)
-        return 0
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    return run(args.modules, args.jobs)
+    return run(args.modules)
 
 
 if __name__ == "__main__":
