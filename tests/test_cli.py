@@ -27,6 +27,10 @@ FIB_SHA256 = json.loads((ROOT / "tests" / "data" / "fib_sha256.json").read_text(
 STDOUT_SHA256 = json.loads(
     (ROOT / "tests" / "data" / "stdout_sha256.json").read_text(encoding="utf-8"))
 SVG_SHA256 = json.loads((ROOT / "tests" / "data" / "svg_sha256.json").read_text(encoding="utf-8"))
+# exit code and sha256 of stdout and stderr of argparse's own help, usage and
+# error output at COLUMNS=80, by argv; "{LONG}" stands for `LONG`
+USAGE_SHA256 = json.loads(
+    (ROOT / "tests" / "data" / "usage_sha256.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -525,6 +529,14 @@ def test_boundary_sweep(capsys, tmp_path, argv, expected_code, message):
     if code != 0:
         assert out == ""
         assert not figure.exists()
+
+
+@pytest.mark.parametrize("argv", list(USAGE_SHA256))
+def test_argparse_output_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap to the terminal width
+    code, out, err = run(capsys, *(arg.replace("{LONG}", LONG) for arg in argv.split()))
+    assert {"exit": code, "stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.encode()).hexdigest()} == USAGE_SHA256[argv]
 
 
 def test_render_writes_golden_bytes(capsys, tmp_path):
