@@ -71,24 +71,11 @@ def _int_at_least(minimum: int, maximum: int):
 
 
 class _Misuse(Exception):
-    """A usage error that `_Parser.parse_args` reports once its long tokens are cut."""
+    """A usage error that `_parse` reports once its long tokens are cut."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but its own messages cut each argv token longer than `ECHO_CHARS`,
-    whole or its part after "=" or a short flag, raw or as a repr, as `quoted` does."""
-
-    def parse_args(self, args=None, namespace=None):
-        try:
-            return super().parse_args(args, namespace)
-        except _Misuse as exc:  # from this parser or a subparser, which is of this class too
-            parser, message = exc.args
-            for token in sorted(sys.argv[1:] if args is None else args, key=len, reverse=True):
-                for part in (token, token.partition("=")[2], token[2:]):
-                    if len(part) > ECHO_CHARS:
-                        message = message.replace(repr(part), quoted(part))
-                        message = message.replace(part, quoted(part))
-            argparse.ArgumentParser.error(parser, message)
+    """argparse's parser, but an error is raised as `_Misuse` for `_parse` to report."""
 
     def error(self, message):
         raise _Misuse(self, message)
@@ -245,7 +232,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers it dispatches to, by name."""
     parser = _Parser(
         prog="hexphi",
         description="Exact golden-section checks on tangent segments of hexagon circle clusters.",
@@ -302,16 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_side(render)
     render.set_defaults(handler=_cmd_render)
 
-    return parser
+    return parser, subparsers.choices
 
 
 # One parser per process, built on the first call to `main` and not on import.
-# Reuse cannot carry anything from one call into the next: `parse_args` only
-# reads the parser's actions and defaults and writes into a fresh Namespace,
-# every default is immutable (a frozen VertexRef, Fraction(1), ints, strs and
-# bools), `prog` is explicit, and help and usage look up sys.stdout,
-# sys.stderr and the terminal width when they print.  The handlers look up
-# `make_report` and the rest through this module's globals at call time.
+# Reuse cannot carry anything from one call into the next: `parse_args` and
+# `parse_known_args` only read the parsers' actions and defaults and write
+# into a fresh Namespace, every default is immutable (a frozen VertexRef,
+# Fraction(1), ints, strs and bools), `prog` is explicit, and help and usage
+# look up sys.stdout, sys.stderr and the terminal width when they print.  The
+# subcommand map is argparse's own, which no parse writes: `_parse` only looks
+# a name up in it.  The handlers look up `make_report` and the rest through
+# this module's globals at call time.
 _parser = functools.cache(build_parser)
 
 
@@ -333,9 +323,37 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed, by the subcommand's own parser when `argv` starts with a
+    subcommand name and that parser takes every token after it.
+
+    Otherwise the top-level parser parses it all, running the subcommand's
+    parser again, so help, usage and every error message are argparse's own.
+    An error reports argparse's message once each argv token longer than
+    `ECHO_CHARS`, whole or its part after "=" or a short flag, raw or as a
+    repr, is cut as `quoted` cuts it.
+    """
+    parser, commands = _parser()
+    try:
+        command = commands.get(argv[0]) if argv else None
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if not rest:
+                return args
+        return parser.parse_args(argv)
+    except _Misuse as exc:  # from the top-level parser or a subcommand's
+        failed, message = exc.args
+        for token in sorted(argv, key=len, reverse=True):
+            for part in (token, token.partition("=")[2], token[2:]):
+                if len(part) > ECHO_CHARS:
+                    message = message.replace(repr(part), quoted(part))
+                    message = message.replace(part, quoted(part))
+        argparse.ArgumentParser.error(failed, message)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _parse(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else 2

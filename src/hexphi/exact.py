@@ -8,7 +8,9 @@ Algebraic Number Theory*, 1993, section 4.2).  Since
 ``{1, sqrt3, sqrt5, sqrt15}`` is a basis of the field over the rationals, a
 value has exactly one such form, so equality, hashing and zero tests are
 structural and tolerance-free, and arithmetic is integer arithmetic plus one
-gcd per result.
+gcd per result.  When neither operand has a sqrt(5) or sqrt(15) part, as for
+the construction's points, frame and directions, a sum, difference or product
+works on the two Q(sqrt3) numerators alone and gives the same reduced form.
 
 Two questions cannot be answered coefficient-wise: the sign of an element and
 its decimal rendering.  The sign is decided algebraically (Yap, "Towards exact
@@ -86,7 +88,8 @@ class QuadExt:
     mathematical equality and the hash is structural.  The ``a`` to ``d``
     properties give each coefficient as a reduced ``Fraction``.  Arithmetic
     closes over the field in ints: a product is 16 integer products and one
-    gcd, and the inverse has a closed form (see `inverse`).
+    gcd, or 4 and a gcd of three ints when both factors lie in Q(sqrt3)
+    (``c == d == 0``), and the inverse has a closed form (see `inverse`).
     """
 
     __slots__ = ("_num", "_den")
@@ -187,8 +190,9 @@ class QuadExt:
         divides ``e1/g`` or ``e2/g`` cannot divide all of t, since each term
         is reduced, so the common factor of the sum is ``gcd(g, t)``: 1 when
         the denominators are coprime.  `fractions` adds two ``Fraction``
-        values the same way.  `__sub__` is the same with the signs of
-        ``n2`` flipped.
+        values the same way.  When both terms lie in Q(sqrt3), only the first
+        two numerators of t are computed.  `__sub__` is the same with the
+        signs of ``n2`` flipped.
         """
         if other.__class__ is not QuadExt:
             other = _as_quadext(other)
@@ -199,14 +203,22 @@ class QuadExt:
         g = gcd(self._den, other._den)
         s = self._den // g
         t = other._den // g
-        a, b, c, d = a1 * t + a2 * s, b1 * t + b2 * s, c1 * t + c2 * s, d1 * t + d2 * s
         den = s * other._den
-        if g != 1:
-            g = gcd(g, a, b, c, d)  # math.gcd stops at the first 1
-            if g != 1:
-                a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
         x = _object_new(QuadExt)
-        x._num = (a, b, c, d)
+        if c1 or d1 or c2 or d2:
+            a, b, c, d = a1 * t + a2 * s, b1 * t + b2 * s, c1 * t + c2 * s, d1 * t + d2 * s
+            if g != 1:
+                g = gcd(g, a, b, c, d)  # math.gcd stops at the first 1
+                if g != 1:
+                    a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+            x._num = (a, b, c, d)
+        else:  # both in Q(sqrt3)
+            a, b = a1 * t + a2 * s, b1 * t + b2 * s
+            if g != 1:
+                g = gcd(g, a, b)
+                if g != 1:
+                    a, b, den = a // g, b // g, den // g
+            x._num = (a, b, 0, 0)
         x._den = den
         return x
 
@@ -222,14 +234,22 @@ class QuadExt:
         g = gcd(self._den, other._den)
         s = self._den // g
         t = other._den // g
-        a, b, c, d = a1 * t - a2 * s, b1 * t - b2 * s, c1 * t - c2 * s, d1 * t - d2 * s
         den = s * other._den
-        if g != 1:
-            g = gcd(g, a, b, c, d)
-            if g != 1:
-                a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
         x = _object_new(QuadExt)
-        x._num = (a, b, c, d)
+        if c1 or d1 or c2 or d2:
+            a, b, c, d = a1 * t - a2 * s, b1 * t - b2 * s, c1 * t - c2 * s, d1 * t - d2 * s
+            if g != 1:
+                g = gcd(g, a, b, c, d)
+                if g != 1:
+                    a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+            x._num = (a, b, c, d)
+        else:  # both in Q(sqrt3)
+            a, b = a1 * t - a2 * s, b1 * t - b2 * s
+            if g != 1:
+                g = gcd(g, a, b)
+                if g != 1:
+                    a, b, den = a // g, b // g, den // g
+            x._num = (a, b, 0, 0)
         x._den = den
         return x
 
@@ -246,16 +266,24 @@ class QuadExt:
                 return NotImplemented
         a1, b1, c1, d1 = self._num
         a2, b2, c2, d2 = other._num
-        a = a1 * a2 + 3 * b1 * b2 + 5 * c1 * c2 + 15 * d1 * d2
-        b = a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2)
-        c = a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2)
-        d = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
         den = self._den * other._den
-        g = gcd(den, a, b, c, d)
-        if g != 1:
-            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
         x = _object_new(QuadExt)
-        x._num = (a, b, c, d)
+        if c1 or d1 or c2 or d2:
+            a = a1 * a2 + 3 * b1 * b2 + 5 * c1 * c2 + 15 * d1 * d2
+            b = a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2)
+            c = a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2)
+            d = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+            g = gcd(den, a, b, c, d)
+            if g != 1:
+                a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+            x._num = (a, b, c, d)
+        else:  # both in Q(sqrt3): (a1 + b1*sqrt3)(a2 + b2*sqrt3)
+            a = a1 * a2 + 3 * b1 * b2
+            b = a1 * b2 + b1 * a2
+            g = gcd(den, a, b)
+            if g != 1:
+                a, b, den = a // g, b // g, den // g
+            x._num = (a, b, 0, 0)
         x._den = den
         return x
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .construction import PhiReport
-from .exact import QuadExt, sign, to_decimal
+from .exact import QuadExt, as_quadext, sign, to_decimal
 from .geometry import _lower_half
-from .tessellation import hex_corners
+from .tessellation import _corner
 
 _SVG_OPEN = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
@@ -38,19 +38,23 @@ def render_svg(report: PhiReport) -> str:
     if len(report.segments) != 6:
         raise ValueError("expected the six tangent segments")
     cluster = report.cluster
+    radii = cluster.radii  # a property that builds the three anew
 
     # each distinct value is rounded once per figure: a center, a radius or
-    # an endpoint recurs across layers, and equal values hash alike
-    decimals: dict[QuadExt | int | Fraction, str] = {}
+    # an endpoint recurs across layers.  The key is the reduced form, unique
+    # to each value, so a lookup hashes a tuple of ints
+    decimals: dict[tuple[tuple[int, int, int, int], int], str] = {}
 
     def fmt(value: QuadExt | int | Fraction) -> str:
-        text = decimals.get(value)
+        x = as_quadext(value)
+        key = (x._num, x._den)
+        text = decimals.get(key)
         if text is None:
-            text = decimals[value] = to_decimal(value, _FRAC_DIGITS)
+            text = decimals[key] = to_decimal(x, _FRAC_DIGITS)
         return text
 
     # bounding box of the three large circles, plus 5% margin per side
-    large = cluster.radii[2]
+    large = radii[2]
     xs = [center.x for _, center in cluster.centers]
     ys = [center.y for _, center in cluster.centers]
     x_min, x_max = min(xs) - large, max(xs) + large
@@ -79,14 +83,14 @@ def render_svg(report: PhiReport) -> str:
         f'stroke-width="{fmt(_HEXAGON_STROKE * cluster.side)}">\n'
     )
     for hexagon, _ in cluster.centers:
-        corners = hex_corners(hexagon, cluster.side)
+        corners = (_corner(hexagon, cluster.side, k) for k in range(6))
         points = " ".join(f"{fmt(p.x)},{fmt(p.y)}" for p in corners)
         out.append(f'<polygon points="{points}"/>\n')
     out.append("</g>\n")
 
     circle_stroke = fmt(_CIRCLE_STROKE * cluster.side)
     layers = (("small", "#9a9a9a"), ("middle", "#5b7fb5"), ("large", "#9a9a9a"))
-    for (layer, color), radius in zip(layers, cluster.radii):
+    for (layer, color), radius in zip(layers, radii):
         out.append(
             f'<g id="{layer}-circles" fill="none" stroke="{color}" '
             f'stroke-width="{circle_stroke}">\n'
@@ -105,7 +109,7 @@ def render_svg(report: PhiReport) -> str:
             dx, dy = -dx, -dy  # orient into the upper half-plane
         if (dx, dy) not in carriers:
             carriers.append((dx, dy))
-    reach = 2 * cluster.side
+    reach = as_quadext(2 * cluster.side)
     out.append(
         f'<g id="tangent-lines" stroke="#c9c9c9" '
         f'stroke-width="{fmt(_TANGENT_STROKE * cluster.side)}">\n'
@@ -140,11 +144,12 @@ def render_svg(report: PhiReport) -> str:
             points.append((f"{end}{segment.k}", point, point.x + push * dx, point.y + push * dy))
 
     marker_half = size * Fraction(1, 160)
+    marker = fmt(2 * marker_half)
     out.append('<g id="markers" fill="#101010" stroke="none">\n')
     for _, point, _, _ in points:
         out.append(
             f'<rect x="{fmt(point.x - marker_half)}" y="{fmt(point.y - marker_half)}" '
-            f'width="{fmt(2 * marker_half)}" height="{fmt(2 * marker_half)}"/>\n'
+            f'width="{marker}" height="{marker}"/>\n'
         )
     out.append("</g>\n")
     out.append("</g>\n")

@@ -112,7 +112,7 @@ def test_oversized_vertex_component_is_usage_error(capsys):
     assert "vertex components may have at most 4300 digits each" in err
     assert "1" * 100 not in err  # the literal is not echoed
     largest = "9" * MAX_DIGITS
-    args = cli.build_parser().parse_args(["verify", f"--vertex={largest},-{largest},0"])
+    args = cli.build_parser()[0].parse_args(["verify", f"--vertex={largest},-{largest},0"])
     assert str(args.vertex) == f"{largest},-{largest},0"
 
 
@@ -241,7 +241,7 @@ def test_scan_radius_above_limit_is_usage_error(capsys, extra):
 
 def test_scan_radius_limit_is_accepted():
     # parsed only: that patch has 61,206 vertices
-    args = cli.build_parser().parse_args(["scan", "--radius", str(cli.MAX_SCAN_RADIUS)])
+    args = cli.build_parser()[0].parse_args(["scan", "--radius", str(cli.MAX_SCAN_RADIUS)])
     assert args.radius == cli.MAX_SCAN_RADIUS == 100
 
 
@@ -624,3 +624,37 @@ def test_parser_is_built_on_the_first_call_only(capsys, monkeypatch):
     for argv in (("verify",), ("fib", "--max", "5"), ("scan", "--radius", "101"), ("--help",)):
         run(capsys, *argv)
     assert built == []
+
+
+def test_a_valid_call_skips_the_top_level_parser(capsys, monkeypatch):
+    parsed = []
+    real_parse = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return real_parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, expected in (
+        (("verify", "--vertex", "-1,0,3", "--side", "5/7"), ["hexphi verify"]),
+        (("fib", "--max", "5"), ["hexphi fib"]),
+        # leftover tokens: the top-level parser parses again, for argparse's own message
+        (("verify", "extra"), ["hexphi verify", "hexphi", "hexphi verify"]),
+        (("--help",), ["hexphi"]),
+    ):
+        parsed.clear()
+        run(capsys, *argv)
+        assert parsed == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("verify", "--json", "--digits", "30", "--vertex=-1,0,3", "--side", "3/2"),
+    ("scan", "--radius", "1", "--si=5/7"),
+    ("fib", "--max", "12", "--rounding", "half-even", "--json"),
+    ("assess", "--ratio", "1.618"),
+    ("render", "--out", "figure.svg", "--vertex", "1,0,3"),
+])
+def test_direct_parse_gives_the_top_level_namespace(argv):
+    assert vars(cli._parse(list(argv))) == vars(cli.build_parser()[0].parse_args(argv))

@@ -64,6 +64,60 @@ def test_field_operations_match_fraction_kernel(p, q):
     assert sign(x - y) == fraction_oracle.sign(x_old - y_old)
 
 
+@st.composite
+def sqrt3_pairs(draw) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Two quadruples of which both, the first, the second or neither lie in
+    Q(sqrt3) (c = d = 0), related so that `+`, `-` and `*` have factors to
+    cancel or give zero: independent; the first times a prime p and the
+    second over p (a product cancels p); over one denominator p*e with
+    numerators that sum to multiples of p (a sum cancels p); equal (a
+    difference is zero); negated (a sum is zero); the second zero."""
+    x = list(draw(QUADRUPLES))
+    y = list(draw(QUADRUPLES))
+    p = draw(st.sampled_from((2, 3, 5, 7, 2**61 - 1)))
+    shape = draw(st.sampled_from(("free", "product", "sum", "equal", "negated", "zero")))
+    if shape == "product":
+        x = [p * value for value in x]
+        y = [value / p for value in y]
+    elif shape == "sum":
+        den = p * draw(st.integers(1, 1 << 64))
+        nums = [draw(st.integers(-(1 << 100), 1 << 100)) for _ in range(4)]
+        rest = [p * draw(st.integers(-(1 << 100), 1 << 100)) - num for num in nums]
+        x = [Fraction(num, den) for num in nums]
+        y = [Fraction(num, den) for num in rest]
+    elif shape == "equal":
+        y = list(x)
+    elif shape == "negated":
+        y = [-value for value in x]
+    elif shape == "zero":
+        y = [Fraction(0)] * 4
+    in_sqrt3 = draw(st.sampled_from(((True, True), (True, False), (False, True), (False, False))))
+    for quadruple, flag in zip((x, y), in_sqrt3):
+        if flag:
+            quadruple[2:] = [Fraction(0), Fraction(0)]
+    return tuple(x), tuple(y)
+
+
+def _reduced_form(x) -> tuple[tuple[int, int, int, int], int]:
+    """The integer form of `x`, or the one that the oracle element `x`'s
+    coefficients have: equal forms mean equal coefficients, and a form
+    left unreduced differs from the reduced one."""
+    if isinstance(x, fraction_oracle.QuadExt):
+        x = QuadExt(*_coeffs(x))
+    return x._num, x._den
+
+
+@settings(max_examples=300)
+@given(sqrt3_pairs())
+def test_sqrt3_operands_match_fraction_kernel(pair):
+    (x, x_old), (y, y_old) = map(_pair, pair)
+    assert _reduced_form(x * y) == _reduced_form(x_old * y_old)
+    assert _reduced_form(x + y) == _reduced_form(x_old + y_old)
+    assert _reduced_form(x - y) == _reduced_form(x_old - y_old)
+    assert _reduced_form(y * x) == _reduced_form(y_old * x_old)
+    assert _reduced_form(y - x) == _reduced_form(y_old - x_old)
+
+
 @settings(max_examples=100)
 @given(QUADRUPLES, RATIONALS)
 def test_mixed_rational_operands_match_fraction_kernel(p, r):
