@@ -233,7 +233,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subcommand parsers it dispatches to, by name."""
+    """The top-level parser and the subcommand parsers it dispatches to, by name.
+
+    Their usage errors raise `_Misuse`, which `_parse` reports.
+    """
     parser = _Parser(
         prog="hexphi",
         description="Exact golden-section checks on tangent segments of hexagon circle clusters.",
