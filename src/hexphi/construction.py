@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import PHI, QuadExt, as_quadext, format_fraction, positive_rational, sign, sqrt_exact
+from .exact import PHI, QuadExt, _reduced, format_fraction, positive_rational, sign, sqrt_exact
 from .geometry import Point, tangent_frame, tangent_lines_in_frame
 from .tessellation import VertexRef, _center, _corner, incident_hexagons
 
@@ -60,7 +60,8 @@ class Cluster(namedtuple("Cluster", "vertex side o centers")):
     @property
     def radii(self) -> tuple[QuadExt, QuadExt, QuadExt]:
         """The small, middle and large radius: side/2, side and 2*side."""
-        return as_quadext(self.side / 2), as_quadext(self.side), as_quadext(2 * self.side)
+        p, q = self.side.numerator, self.side.denominator
+        return _reduced(p, 0, 0, 0, 2 * q), _reduced(p, 0, 0, 0, q), _reduced(2 * p, 0, 0, 0, q)
 
 
 class PhiSegment(namedtuple("PhiSegment", "k hex line t_a t_b ao2 ob2 ab2")):

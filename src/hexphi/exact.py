@@ -21,13 +21,18 @@ rationals built from ``math.isqrt`` of 3, 5 and 15 at a power-of-ten scale
 (Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, section 1.5) and
 doubles the guard digits until both ends round alike.  Neither keeps state
 between calls.
+
+A Python number enters the field only as an int or a Fraction, or as a
+``QuadExt`` where an element is expected.  Any other type, a float, a str or
+a Decimal, raises ``TypeError`` before anything is parsed: `parse_rational`,
+with its digit bounds, is the only parser of literals.  A rational element
+hashes as the Fraction it equals.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -38,9 +43,6 @@ _ROUNDING_MODES = (HALF_EVEN, TRUNCATE)
 
 # bound once: the arithmetic methods call it for every result they build
 _object_new = object.__new__
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
 
 # Python converts no int of more than 4300 digits to or from a string
 # (sys.int_info.default_max_str_digits): the fraction digits of a decimal are
@@ -64,18 +66,16 @@ class NegativeInput(ValueError):
     """A square root was requested for a negative radicand."""
 
 
-def _fraction(value: int | Fraction) -> int | Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not exact; pass Fraction or int")
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+def _rational(name: str, value: int | Fraction) -> int | Fraction:
+    """`value` itself when it is an int or a Fraction; `name` labels the error otherwise."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"{name} must be an int or a Fraction, not {type(value).__name__}")
 
 
-def positive_rational(name: str, value: int | Fraction) -> Fraction:
-    """`value` as a Fraction; `name` labels the error for a float or a value <= 0."""
-    if isinstance(value, float):
-        raise TypeError(f"{name} must be exact; pass Fraction or int")
-    value = Fraction(value)
-    if value <= 0:
+def positive_rational(name: str, value: int | Fraction) -> int | Fraction:
+    """`value`, an int or a Fraction; `name` labels the error for another type or a value <= 0."""
+    if _rational(name, value) <= 0:
         raise ValueError(f"{name} must be positive")
     return value
 
@@ -101,7 +101,7 @@ class QuadExt:
         c: int | Fraction = 0,
         d: int | Fraction = 0,
     ) -> None:
-        coeffs = [_fraction(value) for value in (a, b, c, d)]
+        coeffs = [_rational("a coefficient", value) for value in (a, b, c, d)]
         # over the lcm of reduced denominators the form is already reduced
         den = math.lcm(*(coeff.denominator for coeff in coeffs))
         self._num = tuple(coeff.numerator * (den // coeff.denominator) for coeff in coeffs)
@@ -148,19 +148,11 @@ class QuadExt:
         return " + ".join(terms) if terms else "0"
 
     def __hash__(self) -> int:
-        # a rational value equals Fraction(a, den), so it hashes as
-        # fractions.Fraction.__hash__ does, from the ints
+        # a rational value equals Fraction(a, den), so it hashes as that Fraction
         a, b, c, d = self._num
         if b or c or d:
             return hash((self._num, self._den))
-        try:
-            inverse = pow(self._den, -1, _HASH_MODULUS)
-        except ValueError:  # den is a multiple of the modulus
-            magnitude = _HASH_INF
-        else:
-            magnitude = hash(hash(abs(a)) * inverse)
-        value = magnitude if a >= 0 else -magnitude
-        return -2 if value == -1 else value
+        return hash(Fraction(a, self._den))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
@@ -438,13 +430,10 @@ def sqrt_exact(radicand: QuadExt | int | Fraction) -> QuadExt:
     one of ``k = 1, 3, 5, 15``; the root is then ``s*sqrt(k) / d``.  That is
     one product and at most four integer square roots.
     """
-    if isinstance(radicand, QuadExt):
-        if not radicand.is_rational:
-            raise NotRepresentable("square root of an irrational field element is unsupported")
-        n, d = radicand._num[0], radicand._den  # in lowest terms, as the reduced form is
-    else:
-        r = _fraction(radicand)
-        n, d = r.numerator, r.denominator
+    x = as_quadext(radicand)
+    if not x.is_rational:
+        raise NotRepresentable("square root of an irrational field element is unsupported")
+    n, d = x._num[0], x._den  # in lowest terms, as the reduced form is
     if n < 0:
         raise NegativeInput("square root of a negative rational")
     nd = n * d

@@ -37,11 +37,7 @@ class Point(namedtuple("Point", "x y")):
     __slots__ = ()
 
     def __new__(cls, x: QuadExt | int | Fraction, y: QuadExt | int | Fraction) -> Point:
-        if x.__class__ is not QuadExt:
-            x = as_quadext(x)
-        if y.__class__ is not QuadExt:
-            y = as_quadext(y)
-        return super().__new__(cls, x, y)
+        return super().__new__(cls, as_quadext(x), as_quadext(y))
 
     def to_json(self) -> dict[str, dict[str, str]]:
         return {"x": self.x.to_json(), "y": self.y.to_json()}

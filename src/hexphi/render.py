@@ -101,7 +101,7 @@ def render_svg(report: PhiReport) -> str:
         out.append("</g>\n")
 
     # the six tangent rays lie on three carrier lines; draw each once,
-    # spanning 2*side both ways from O (beyond every A and B endpoint)
+    # spanning the large radius, 2*side, both ways from O (beyond every A and B)
     carriers: list[tuple[QuadExt, QuadExt]] = []
     for segment in report.segments:
         dx, dy = segment.line.dir
@@ -109,15 +109,14 @@ def render_svg(report: PhiReport) -> str:
             dx, dy = -dx, -dy  # orient into the upper half-plane
         if (dx, dy) not in carriers:
             carriers.append((dx, dy))
-    reach = as_quadext(2 * cluster.side)
     out.append(
         f'<g id="tangent-lines" stroke="#c9c9c9" '
         f'stroke-width="{fmt(_TANGENT_STROKE * cluster.side)}">\n'
     )
     for dx, dy in carriers:
         out.append(
-            f'<line x1="{fmt(cluster.o.x - reach * dx)}" y1="{fmt(cluster.o.y - reach * dy)}" '
-            f'x2="{fmt(cluster.o.x + reach * dx)}" y2="{fmt(cluster.o.y + reach * dy)}"/>\n'
+            f'<line x1="{fmt(cluster.o.x - large * dx)}" y1="{fmt(cluster.o.y - large * dy)}" '
+            f'x2="{fmt(cluster.o.x + large * dx)}" y2="{fmt(cluster.o.y + large * dy)}"/>\n'
         )
     out.append("</g>\n")
 

@@ -86,18 +86,18 @@ class VertexRef(namedtuple("VertexRef", "hex corner")):
         return f"{self.hex.q},{self.hex.r},{self.corner}"
 
 
-def _point(x: int, y: int, side: Fraction) -> Point:
+def _point(x: int, y: int, side: int | Fraction) -> Point:
     """side/2 * (x, y*sqrt3) for a side checked by `positive_rational`."""
     p, den = side.numerator, 2 * side.denominator
     return Point._make((_reduced(x * p, 0, 0, 0, den), _reduced(0, y * p, 0, 0, den)))
 
 
-def _center(hexagon: HexIndex, side: Fraction) -> Point:
+def _center(hexagon: HexIndex, side: int | Fraction) -> Point:
     """side * (3q/2, (q/2 + r)*sqrt3)."""
     return _point(3 * hexagon.q, hexagon.q + 2 * hexagon.r, side)
 
 
-def _corner(hexagon: HexIndex, side: Fraction, k: int) -> Point:
+def _corner(hexagon: HexIndex, side: int | Fraction, k: int) -> Point:
     return _point(3 * hexagon.q + _CORNER_X[k], hexagon.q + 2 * hexagon.r + _CORNER_Y[k], side)
 
 

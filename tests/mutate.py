@@ -13,17 +13,19 @@ number, so a name survives edits elsewhere in the file.  The text is the
 mutated expression, or for a constant the expression around it.  A name met
 twice in one module gets `` #2``, `` #3``... in order of appearance.
 
-Each mutant in turn runs the whole Tier-1 suite with ``-x`` in one copy of
-the repository, the module's own test file first.  A mutant is killed when the
-suite fails, or times out (a hang), and survives when it passes.  A survivor
-must be listed, with a one-line argument, in
-``tests/data/equivalent_mutants.json``, and a listed mutant must survive, or
-the run exits 1.  A survivor costs a whole suite run, so this is not part
-of Tier-1; `tests/test_mutate.py` only checks that every listed mutant still
-names a site.
+The unmutated suite runs first, once, in one copy of the repository.  If it
+fails, every mutant would count as killed, so the run exits 1 at once.
+Otherwise each mutant in turn runs the whole Tier-1 suite with ``-x`` in that
+copy, the module's own test file first.  A mutant is killed when the suite
+fails, or runs past `TIMEOUT_FACTOR` times as long as the unmutated one did
+(a hang), and survives when it passes.  A survivor must be listed, with a
+one-line argument, in ``tests/data/equivalent_mutants.json``, and a listed
+mutant must survive, or the run exits 1.  A survivor costs a whole suite run,
+so this is not part of Tier-1; `tests/test_mutate.py` only checks that every
+listed mutant still names a site.
 
     python3 tests/mutate.py                  # construction, geometry, tessellation
-    python3 tests/mutate.py exact fibonacci  # other modules
+    python3 tests/mutate.py fibonacci cli    # other modules
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hexphi"
 EQUIVALENTS = ROOT / "tests" / "data" / "equivalent_mutants.json"
 DEFAULT_MODULES = ("construction", "geometry", "tessellation")
-_TIMEOUT_S = 300  # a suite run takes about 25 s; a mutant past this counts as a hang
+# a surviving mutant runs the whole suite, as the unmutated run does, so a
+# mutant past this multiple of that run's time counts as a hang
+TIMEOUT_FACTOR = 4
 
 _FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -151,28 +155,29 @@ def load_equivalents() -> dict[str, str]:
     return {entry["mutant"]: entry["why"] for entry in json.loads(EQUIVALENTS.read_text())}
 
 
-def _run_suite(copy: Path, module: str) -> str:
-    """"killed", "survived" or "timeout": the suite in `copy`, the module's own
-    test file first (pytest skips it when it meets it again under tests/).
-    tests/test_mutate.py checks this tool's names against the source, which a
-    mutant changes, so it is left out."""
+def _run_suite(copy: Path, module: str | None, timeout: float | None = None) -> str:
+    """"passed", "failed" or "timeout": the suite in `copy`, with ``-x``, the
+    module's own test file first when a module is named (pytest skips it when
+    it meets it again under tests/).  tests/test_mutate.py checks this tool's
+    names against the source, which a mutant changes, so it is left out."""
     own = f"tests/test_{module}.py"
-    first = [own] if (copy / own).exists() else []
+    first = [own] if module and (copy / own).exists() else []
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     command += ["--ignore=tests/test_mutate.py", *first, "tests"]
     try:
-        done = subprocess.run(command, cwd=copy, env=env, timeout=_TIMEOUT_S,
+        done = subprocess.run(command, cwd=copy, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return "timeout"
-    return "survived" if done.returncode == 0 else "killed"
+    return "passed" if done.returncode == 0 else "failed"
 
 
 def run(modules: list[str]) -> int:
     """Run every mutant of `modules`, one after another; print one line each
-    and the counts.  Exit status 1 when a survivor is not an accepted
-    equivalent, or an accepted one is killed or no longer a site."""
+    and the counts.  Exit status 1 when the unmutated suite fails, when a
+    survivor is not an accepted equivalent, or when an accepted one is killed
+    or no longer a site."""
     accepted = load_equivalents()
     work = [(module, mutant) for module in modules for mutant in mutants(module)]
     counts = {"killed": 0, "timeout": 0, "equivalent": 0, "survived": 0}
@@ -182,14 +187,23 @@ def run(modules: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="hexphi-mutate-") as scratch:
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
         copy = shutil.copytree(ROOT, Path(scratch) / "repo", ignore=ignore)
+        started = time.monotonic()
+        if _run_suite(copy, None) != "passed":
+            print("the unmutated suite fails, so no mutant can be judged", file=sys.stderr)
+            return 1
+        clean = time.monotonic() - started
+        timeout = TIMEOUT_FACTOR * clean
+        print(f"unmutated suite passed in {clean:.0f} s; a mutant past {timeout:.0f} s is a hang",
+              flush=True)
         for module, mutant in work:
             target = copy / "src" / "hexphi" / f"{module}.py"
             original = target.read_text()
             target.write_text(mutant.source)
             try:
-                outcome = _run_suite(copy, module)
+                outcome = _run_suite(copy, module, timeout)
             finally:
                 target.write_text(original)
+            outcome = {"passed": "survived", "failed": "killed"}.get(outcome, outcome)
             if mutant.name in accepted:
                 if outcome == "survived":
                     outcome = "equivalent"

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -515,6 +516,15 @@ BOUNDARY_SWEEP += [
     (("verify", "--side", "-3/-4"), 0, ""),
     (("verify", "--side=-3/-4"), 0, ""),
 ]
+# zero is refused by the option's own check; "--" is not an option to join a
+# value to; and a distance whose denominator, 10**4300 + 2, is one digit too long
+_ODD_Q = 5 * 10**4299 + 1  # the nearest convergent to (3q + 1)/(2q) is 3/2
+BOUNDARY_SWEEP += [
+    (("verify", "--side", "0"), 2, NOT_POSITIVE + "'0'"),
+    (("assess", "--ratio", "0"), 2, NOT_POSITIVE + "'0'"),
+    (("verify", "--", "-1,0,3"), 2, "unrecognized arguments: -- -1,0,3\n"),
+    (("assess", "--ratio", f"{(3 * _ODD_Q + 1) // 2}/{_ODD_Q}"), 2, "distance out of range"),
+]
 
 
 @pytest.mark.parametrize("argv, expected_code, message", BOUNDARY_SWEEP)
@@ -552,6 +562,16 @@ def test_render_vertex_value_may_start_with_minus(capsys, tmp_path):
     assert run(capsys, "render", "--out", str(separate), "--vertex", "-1,0,3")[0] == 0
     assert run(capsys, "render", "--out", str(joined), "--vertex=-1,0,3")[0] == 0
     assert separate.read_bytes() == joined.read_bytes()
+
+
+def test_unwritable_stdout_exits_3(capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["fib", "--max", "3"]) == 3
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_render_unwritable_path(capsys, tmp_path):

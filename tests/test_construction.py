@@ -413,9 +413,9 @@ def _count_calls(monkeypatch, function) -> list[int]:
     """From now on, count calls to an `exact` function wherever a module binds its name."""
     calls = []
 
-    def counted(value):
+    def counted(*args):
         calls.append(1)
-        return function(value)
+        return function(*args)
 
     for module in (exact, geometry, construction, render, fibonacci, tessellation):
         if getattr(module, function.__name__, None) is function:
@@ -438,11 +438,14 @@ def test_sign_calls_per_verify_and_per_cluster(monkeypatch, capsys):
 
 
 def test_fib_table_makes_no_sign_call(monkeypatch, capsys):
-    # each row's variance takes its sign from an int (Cassini), not from `abs`
+    # each row's variance takes its sign from an int (Cassini), not from `abs`;
+    # consecutive Fibonacci numbers are coprime, so no row takes a gcd either
     calls = _count_calls(monkeypatch, sign)
+    gcds = _count_calls(monkeypatch, exact._reduced)
     assert cli.main(["fib", "--max", "500"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 502
     assert len(calls) == 0
+    assert len(gcds) == 0
 
 
 def test_assess_makes_no_sign_call(monkeypatch, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,9 @@ from hexphi.exact import (
     sqrt_exact,
     to_decimal,
 )
+from hexphi.construction import build_cluster
+from hexphi.geometry import Point
+from hexphi.tessellation import HexIndex, VertexRef, hex_corners
 
 RATIONALS = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -437,6 +441,25 @@ def test_parse_rational_bounds_numerator_and_denominator_digits():
 def test_as_quadext_rejects_floats():
     with pytest.raises(TypeError):
         as_quadext(1.5)
+
+
+@pytest.mark.parametrize("entry", [
+    QuadExt,
+    sqrt_exact,
+    lambda value: build_cluster(VertexRef(HexIndex(0, 0), 0), value),
+    lambda value: hex_corners(HexIndex(0, 0), value),
+    as_quadext,
+    sign,
+    lambda value: to_decimal(value, 5),
+    lambda value: Point(value, 0),
+], ids=["QuadExt", "sqrt_exact", "build_cluster", "hex_corners", "as_quadext", "sign",
+        "to_decimal", "Point"])
+@pytest.mark.parametrize("value", ["1/2", "1e4301", Decimal("1.5"), 1.5], ids=repr)
+def test_only_ints_and_fractions_enter_the_field(entry, value):
+    # a literal is read by parse_rational alone, with its digit bounds; every
+    # entry point refuses a str, a Decimal or a float before parsing anything
+    with pytest.raises(TypeError):
+        entry(value)
 
 
 def test_json_coefficients_and_decimal():

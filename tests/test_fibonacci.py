@@ -42,6 +42,14 @@ def test_convergents_run_through_convergent():
     assert list(zip(range(2, 301), convergents())) == [(n, convergent(n)) for n in range(2, 301)]
 
 
+def test_hand_built_convergent_over_zero_raises():
+    zero_below = Convergent(2, 1, 0)
+    with pytest.raises(ZeroDivisionError):
+        zero_below.variance_exact()
+    with pytest.raises(ZeroDivisionError):
+        zero_below.ratio_decimal(10)
+
+
 def test_convergent_rejects_n_below_two():
     with pytest.raises(ValueError):
         convergent(1)
