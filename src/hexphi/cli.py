@@ -21,7 +21,7 @@ from .exact import (
     ECHO_CHARS, HALF_EVEN, MAX_DIGITS, PHI, TRUNCATE, format_fraction, parse_rational, quoted,
     to_decimal,
 )
-from .fibonacci import assess_nearest, convergents
+from .fibonacci import assess_nearest, convergents, decimal_rows
 from .render import render_svg
 from .tessellation import HexIndex, VertexRef, enumerate_vertices
 
@@ -166,7 +166,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
-    rows = itertools.islice(convergents(), args.max - 1)
+    # the table's decimals come from one rounding pass that reads each row as it is reached
+    rows = decimal_rows(itertools.islice(convergents(), args.max - 1), args.digits, args.rounding)
     if args.json:
         _print_json(
             {
@@ -174,14 +175,8 @@ def _cmd_fib(args: argparse.Namespace) -> int:
                 "rounding": args.rounding,
                 "decimal_separator": DECIMAL_SEPARATOR,
                 "rows": [
-                    {
-                        "n": row.n,
-                        "fn": row.fn,
-                        "fn_1": row.fn_1,
-                        "ratio": row.ratio_decimal(args.digits, args.rounding),
-                        "variance": row.variance_decimal(args.digits, args.rounding),
-                    }
-                    for row in rows
+                    {"n": row.n, "fn": row.fn, "fn_1": row.fn_1, "ratio": ratio, "variance": var}
+                    for row, ratio, var in rows
                 ],
             }
         )
@@ -192,10 +187,8 @@ def _cmd_fib(args: argparse.Namespace) -> int:
     # rows print as they are made, and each F(n) becomes a string once: as
     # this row's F_n and the next row's F_n-1 (the first row's is F(1) = 1)
     fn_1 = "1"
-    for row in rows:
+    for row, ratio, var in rows:
         fn = str(row.fn)
-        ratio = row.ratio_decimal(args.digits, args.rounding)
-        var = row.variance_decimal(args.digits, args.rounding)
         print(f"{row.n}\t{fn}\t{fn_1}\t{ratio}\t{var}")
         fn_1 = fn
     return 0
@@ -358,8 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code
     try:
         return args.handler(args)
     except (TypeError, ValueError) as exc:

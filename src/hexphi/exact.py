@@ -19,8 +19,10 @@ to the signs of a few integer polynomials in the numerators, with no
 loop and no precision to choose.  A decimal encloses the element between two
 rationals built from ``math.isqrt`` of 3, 5 and 15 at a power-of-ten scale
 (Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, section 1.5) and
-doubles the guard digits until both ends round alike.  Neither keeps state
-between calls.
+doubles the guard digits until both ends round alike.  `to_decimals` rounds a
+stream of values in one pass, in which the values share each power of ten
+and each root, by guard; `to_decimal` is its one-value case.  Neither the
+sign nor the decimals keep state between calls.
 
 A Python number enters the field only as an int or a Fraction, or as a
 ``QuadExt`` where an element is expected.  Any other type, a float, a str or
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import gcd
 
@@ -462,8 +465,8 @@ def _rounded(num: int, den: int, rounding: str) -> int:
 def _format_units(units: int, frac_digits: int) -> str:
     prefix = "-" if units < 0 else ""
     whole, frac = divmod(abs(units), 10**frac_digits)
-    try:
-        return f"{prefix}{whole}.{frac:0{frac_digits}d}"
+    try:  # zfill, not a nested format spec, which costs more than the division
+        return f"{prefix}{whole}.{str(frac).zfill(frac_digits)}"
     except ValueError:  # str(int) past MAX_DIGITS digits; no size test on the common path
         raise ValueError(_TOO_LONG_TO_PRINT) from None
 
@@ -471,7 +474,19 @@ def _format_units(units: int, frac_digits: int) -> str:
 def to_decimal(
     value: QuadExt | int | Fraction, frac_digits: int, rounding: str = HALF_EVEN
 ) -> str:
-    """Decimal string with exactly `frac_digits` fractional digits.
+    """Decimal string with exactly `frac_digits` fractional digits: the one
+    value of `to_decimals`."""
+    # unpacked rather than taken with next(): the stream then runs to its
+    # end, and is not closed later from inside its loop, which costs more
+    (text,) = to_decimals((value,), frac_digits, rounding)
+    return text
+
+
+def to_decimals(
+    values: Iterable[QuadExt | int | Fraction], frac_digits: int, rounding: str = HALF_EVEN
+) -> Iterator[str]:
+    """Each value's decimal string with exactly `frac_digits` fractional
+    digits, in turn: a lazy stream that reads one value per string it yields.
 
     ``half-even`` rounds ties to the even last digit; ``truncate`` drops the
     tail toward zero.  An irrational value times ``10**(frac_digits + guard)``
@@ -481,33 +496,58 @@ def to_decimal(
     more than the whole digits of the largest irrational coefficient, so the
     enclosure is under 3e-8 units wide and settles in one try unless the
     value lies that close to a rounding boundary.
+
+    A value's digits depend on that value alone.  Within one call, the values
+    share each power of ten by guard and each integer root by (radicand,
+    guard): a root is computed the first time a value needs it, and nothing
+    is kept once the stream is dropped.  A bad `frac_digits` or `rounding`
+    raises here; a value that is not a field element, when it is read.
     """
     if frac_digits < 1:
         raise ValueError("frac_digits must be at least 1")
     if rounding not in _ROUNDING_MODES:
         raise ValueError(f"unknown rounding mode {rounding!r}; use one of {_ROUNDING_MODES}")
-    x = as_quadext(value)
-    a, b, c, d = x._num
-    den = x._den
-    if not (b or c or d):
-        return _format_units(_rounded(a * 10**frac_digits, den, rounding), frac_digits)
-    # max(|b|, |c|, |d|) / den < 2**whole_bits, and 31/100 > log10(2)
-    whole_bits = max(abs(b), abs(c), abs(d)).bit_length() - den.bit_length() + 1
-    guard = 8 + max(0, -(-whole_bits * 31 // 100))
-    while True:
-        scale = 10 ** (frac_digits + guard)
-        lo = hi = a * scale
-        for coeff, radicand in ((b, 3), (c, 5), (d, 15)):
-            if not coeff:
-                continue
-            # root < sqrt(radicand) * scale < root + 1, strictly: the root is irrational
-            root = math.isqrt(radicand * scale * scale)
-            lo += coeff * (root if coeff >= 0 else root + 1)
-            hi += coeff * (root + 1 if coeff >= 0 else root)
-        units = _rounded(lo, den * 10**guard, rounding)
-        if units == _rounded(hi, den * 10**guard, rounding):
-            return _format_units(units, frac_digits)
-        guard *= 2
+    return _decimals(values, frac_digits, rounding)
+
+
+def _decimals(
+    values: Iterable[QuadExt | int | Fraction], frac_digits: int, rounding: str
+) -> Iterator[str]:
+    """The stream `to_decimals` returns, for arguments it has checked."""
+    one = 10**frac_digits
+    scales: dict[int, tuple[int, int]] = {}  # guard -> (10**guard, one * 10**guard)
+    roots: dict[tuple[int, int], int] = {}  # (radicand, guard) -> root at that scale
+    for value in values:
+        x = as_quadext(value)
+        a, b, c, d = x._num
+        den = x._den
+        if not (b or c or d):
+            yield _format_units(_rounded(a * one, den, rounding), frac_digits)
+            continue
+        # max(|b|, |c|, |d|) / den < 2**whole_bits, and 31/100 > log10(2)
+        whole_bits = max(abs(b), abs(c), abs(d)).bit_length() - den.bit_length() + 1
+        guard = 8 + max(0, -(-whole_bits * 31 // 100))
+        while True:
+            powers = scales.get(guard)
+            if powers is None:
+                unit = 10**guard
+                powers = scales[guard] = (unit, one * unit)
+            unit, scale = powers
+            lo = hi = a * scale
+            for coeff, radicand in ((b, 3), (c, 5), (d, 15)):
+                if not coeff:
+                    continue
+                # root < sqrt(radicand) * scale < root + 1, strictly: the root is irrational
+                root = roots.get((radicand, guard))
+                if root is None:
+                    root = roots[radicand, guard] = math.isqrt(radicand * scale * scale)
+                lo += coeff * (root if coeff >= 0 else root + 1)
+                hi += coeff * (root + 1 if coeff >= 0 else root)
+            units = _rounded(lo, den * unit, rounding)
+            if units == _rounded(hi, den * unit, rounding):
+                yield _format_units(units, frac_digits)
+                break
+            guard *= 2
 
 
 def format_fraction(value: Fraction) -> str:

@@ -34,10 +34,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .exact import HALF_EVEN, PHI, QuadExt, _new, _reduced, parse_rational, to_decimal
+from .exact import (
+    HALF_EVEN, PHI, QuadExt, _new, _rational, _reduced, parse_rational, to_decimal, to_decimals,
+)
 
 
 class Convergent(namedtuple("Convergent", "n fn fn_1")):
@@ -78,6 +80,27 @@ class Convergent(namedtuple("Convergent", "n fn fn_1")):
 
     def variance_decimal(self, frac_digits: int, rounding: str = HALF_EVEN) -> str:
         return to_decimal(self.variance_exact(), frac_digits, rounding)
+
+
+def decimal_rows(
+    rows: Iterable[Convergent], frac_digits: int, rounding: str = HALF_EVEN
+) -> Iterator[tuple[Convergent, str, str]]:
+    """Each row with its ratio and variance decimals, the strings that
+    `ratio_decimal` and `variance_decimal` give, from one `to_decimals` pass:
+    a table's rows share its powers of ten and its sqrt5 roots.  A row is read
+    only when it is reached, so a table can print each row as it is made."""
+    rows, again = itertools.tee(rows)
+    values = (
+        value
+        for row in again
+        # as in ratio_decimal: to_decimals only rounds fn / fn_1, so this needs no gcd
+        for value in (
+            row.ratio if row.fn_1 <= 0 else _new((row.fn, 0, 0, 0), row.fn_1),
+            row.variance_exact(),
+        )
+    )
+    decimals = to_decimals(values, frac_digits, rounding)
+    return zip(rows, decimals, decimals)
 
 
 def convergent(n: int) -> Convergent:
@@ -127,13 +150,14 @@ def assess_nearest(value: str | Fraction | int) -> Convergent:
     """The convergent whose ratio is closest to `value`; ties pick smaller n.
 
     `value` may be a rational string ("p/q" or a decimal with either
-    separator) or an exact rational.  The int p^2 - pq - q^2 tells the target's
+    separator), an int or a Fraction; any other type, a float or a Decimal,
+    raises ``TypeError``.  The int p^2 - pq - q^2 tells the target's
     side of phi; the search walks that side's convergents, from two steps before
     `_bracket_index`, up to the first one between phi and the target and
     returns it or the one before it, whichever is closer by cross-multiplied
     ints (see the module docstring).
     """
-    target = parse_rational(value) if isinstance(value, str) else Fraction(value)
+    target = parse_rational(value) if isinstance(value, str) else _rational("ratio", value)
     if target <= 0:
         raise ValueError("ratio must be positive")
     p, q = target.numerator, target.denominator

@@ -1,9 +1,12 @@
 """Deterministic SVG rendering of a verified cluster.
 
 The output is built from exact values only: every coordinate is a field
-element rendered through :func:`hexphi.exact.to_decimal` at a fixed number of
-fractional digits, so the same report produces byte-identical SVG on every
-run and platform.  No floating point is involved anywhere.
+element rendered at a fixed number of fractional digits, so the same report
+produces byte-identical SVG on every run and platform.  No floating point is
+involved anywhere.  The document is first laid out with a numbered slot for
+each distinct value, in first-use order; one :func:`hexphi.exact.to_decimals`
+pass then rounds those values, sharing its powers of ten and integer roots
+across the figure, and fills the slots.
 
 Drawing order (back to front): hexagon outlines, small circles, middle
 circles, large circles, tangent carrier lines, the six segments, point
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .construction import PhiReport
-from .exact import QuadExt, as_quadext, sign, to_decimal
+from .exact import QuadExt, as_quadext, sign, to_decimals
 from .geometry import _lower_half
 from .tessellation import _corner
 
@@ -31,6 +34,12 @@ _HEXAGON_STROKE = Fraction(1, 60)
 _CIRCLE_STROKE = Fraction(1, 100)
 _TANGENT_STROKE = Fraction(1, 150)
 _SEGMENT_STROKE = Fraction(1, 40)
+# shares of the figure: the margin of each side of the viewBox, of its width
+# or height; a label's distance from its point and a marker's half width, of
+# the viewBox size
+_MARGIN = Fraction(1, 20)
+_LABEL_OFFSET = Fraction(3, 100)
+_MARKER_HALF = Fraction(1, 160)
 
 
 def render_svg(report: PhiReport) -> str:
@@ -40,18 +49,21 @@ def render_svg(report: PhiReport) -> str:
     cluster = report.cluster
     radii = cluster.radii  # a property that builds the three anew
 
-    # each distinct value is rounded once per figure: a center, a radius or
-    # an endpoint recurs across layers.  The key is the reduced form, unique
-    # to each value, so a lookup hashes a tuple of ints
-    decimals: dict[tuple[tuple[int, int, int, int], int], str] = {}
+    # each distinct value gets one slot, "{i}", filled by str.format once the
+    # document is laid out: a center, a radius or an endpoint recurs across
+    # layers.  The key is the reduced form, unique to each value, so a lookup
+    # hashes a tuple of ints.  The document has no other braces
+    slots: dict[tuple[tuple[int, int, int, int], int], str] = {}
+    values: list[QuadExt] = []
 
     def fmt(value: QuadExt | int | Fraction) -> str:
         x = as_quadext(value)
         key = (x._num, x._den)
-        text = decimals.get(key)
-        if text is None:
-            text = decimals[key] = to_decimal(x, _FRAC_DIGITS)
-        return text
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = f"{{{len(values)}}}"
+            values.append(x)
+        return slot
 
     # bounding box of the three large circles, plus 5% margin per side
     large = radii[2]
@@ -61,8 +73,8 @@ def render_svg(report: PhiReport) -> str:
     y_min, y_max = min(ys) - large, max(ys) + large
     width = x_max - x_min
     height = y_max - y_min
-    margin_x = width * Fraction(1, 20)
-    margin_y = height * Fraction(1, 20)
+    margin_x = width * _MARGIN
+    margin_y = height * _MARGIN
     vb_w = width + 2 * margin_x
     vb_h = height + 2 * margin_y
     view_box = (
@@ -114,9 +126,10 @@ def render_svg(report: PhiReport) -> str:
         f'stroke-width="{fmt(_TANGENT_STROKE * cluster.side)}">\n'
     )
     for dx, dy in carriers:
+        reach_x, reach_y = large * dx, large * dy
         out.append(
-            f'<line x1="{fmt(cluster.o.x - large * dx)}" y1="{fmt(cluster.o.y - large * dy)}" '
-            f'x2="{fmt(cluster.o.x + large * dx)}" y2="{fmt(cluster.o.y + large * dy)}"/>\n'
+            f'<line x1="{fmt(cluster.o.x - reach_x)}" y1="{fmt(cluster.o.y - reach_y)}" '
+            f'x2="{fmt(cluster.o.x + reach_x)}" y2="{fmt(cluster.o.y + reach_y)}"/>\n'
         )
     out.append("</g>\n")
 
@@ -133,16 +146,20 @@ def render_svg(report: PhiReport) -> str:
     # O, A1, B1, ..., A6, B6 and the place of each one's label: O's below left
     # of it, an endpoint's 3% of the viewBox size outward along its unit-length
     # carrier, so inside the field; point - O is t*dir, so outward is sign(t)
-    offset = size * Fraction(3, 100)
+    offset = size * _LABEL_OFFSET
     o = cluster.o
     points = [("O", o, o.x - offset, o.y - offset)]
     for segment, (a, b) in zip(report.segments, ends):
         dx, dy = segment.line.dir
+        push_x, push_y = offset * dx, offset * dy
         for end, point, t in (("A", a, segment.t_a), ("B", b, segment.t_b)):
-            push = offset if sign(t) > 0 else -offset
-            points.append((f"{end}{segment.k}", point, point.x + push * dx, point.y + push * dy))
+            if sign(t) > 0:
+                x, y = point.x + push_x, point.y + push_y
+            else:
+                x, y = point.x - push_x, point.y - push_y
+            points.append((f"{end}{segment.k}", point, x, y))
 
-    marker_half = size * Fraction(1, 160)
+    marker_half = size * _MARKER_HALF
     marker = fmt(2 * marker_half)
     out.append('<g id="markers" fill="#101010" stroke="none">\n')
     for _, point, _, _ in points:
@@ -162,4 +179,4 @@ def render_svg(report: PhiReport) -> str:
     out.append("</g>\n")
 
     out.append("</svg>\n")
-    return "".join(out)
+    return "".join(out).format(*to_decimals(values, _FRAC_DIGITS))

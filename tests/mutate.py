@@ -24,8 +24,13 @@ mutant must survive, or the run exits 1.  A survivor costs a whole suite run,
 so this is not part of Tier-1; `tests/test_mutate.py` only checks that every
 listed mutant still names a site.
 
+A target is a module, or one function of it as ``module.function``; a
+function takes its nested functions with it, and a class its methods.  Only
+the accepted mutants of the targets are checked for staleness.
+
     python3 tests/mutate.py                  # construction, geometry, tessellation
     python3 tests/mutate.py fibonacci cli    # other modules
+    python3 tests/mutate.py exact.to_decimals exact._decimals   # some functions
 """
 
 from __future__ import annotations
@@ -88,6 +93,13 @@ def _own_nodes(nodes: list[ast.AST]) -> Iterator[ast.AST]:
             yield from _own_nodes(ast.iter_child_nodes(node))
 
 
+def _within(qualname: str, functions: tuple[str, ...] | None) -> bool:
+    """Whether `qualname` is one of `functions` or lies inside one; any, for None."""
+    return functions is None or any(
+        qualname == function or qualname.startswith(function + ".") for function in functions
+    )
+
+
 def _sites(tree: ast.Module) -> Iterator[tuple[str, ast.AST, str, object, object]]:
     """(function, node, field, its value before, after) for each mutation
     site: ``ops`` of a comparison, ``op`` of arithmetic, ``value`` of an int."""
@@ -125,8 +137,10 @@ def _context(node: ast.AST, parents: dict[ast.AST, ast.AST]) -> ast.AST:
     return around
 
 
-def mutants(module: str) -> Iterator[Mutant]:
-    """Every single-site mutant of ``hexphi.<module>``, in source order."""
+def mutants(module: str, functions: tuple[str, ...] | None = None) -> Iterator[Mutant]:
+    """Every single-site mutant of ``hexphi.<module>``, in source order; only
+    those within `functions`, qualified names in the module, when given.  A
+    name's `` #2`` counts the whole module, so it does not depend on them."""
     raw = (PACKAGE / f"{module}.py").read_bytes()
     starts = [0]  # the byte offset of each line, as ast's col_offset counts bytes
     for line in raw.split(b"\n"):
@@ -145,6 +159,8 @@ def mutants(module: str) -> Iterator[Mutant]:
         seen[name] = seen.get(name, 0) + 1
         if seen[name] > 1:
             name += f" #{seen[name]}"
+        if not _within(qualname, functions):
+            continue
         start = starts[node.lineno - 1] + node.col_offset
         end = starts[node.end_lineno - 1] + node.end_col_offset
         yield Mutant(name, (raw[:start] + replacement.encode() + raw[end:]).decode())
@@ -173,15 +189,35 @@ def _run_suite(copy: Path, module: str | None, timeout: float | None = None) -> 
     return "passed" if done.returncode == 0 else "failed"
 
 
-def run(modules: list[str]) -> int:
-    """Run every mutant of `modules`, one after another; print one line each
-    and the counts.  Exit status 1 when the unmutated suite fails, when a
-    survivor is not an accepted equivalent, or when an accepted one is killed
-    or no longer a site."""
+def _targets(names: list[str]) -> dict[str, tuple[str, ...] | None]:
+    """module -> the functions named in it, or None for the whole module."""
+    targets: dict[str, tuple[str, ...] | None] = {}
+    for name in names:
+        module, _, function = name.partition(".")
+        if not function or targets.get(module, ()) is None:
+            targets[module] = None
+        else:
+            targets[module] = (*targets.get(module, ()), function)
+    return targets
+
+
+def _targeted(name: str, targets: dict[str, tuple[str, ...] | None]) -> bool:
+    """Whether the mutant `name` lies within `targets`."""
+    module, _, qualname = name.partition(":")[0].partition(".")
+    return module in targets and _within(qualname, targets[module])
+
+
+def run(names: list[str]) -> int:
+    """Run every mutant of the modules or ``module.function``s `names`, one
+    after another; print one line each and the counts.  Exit status 1 when
+    the unmutated suite fails, when a survivor is not an accepted equivalent,
+    or when an accepted one within the targets is killed or no longer a site."""
     accepted = load_equivalents()
-    work = [(module, mutant) for module in modules for mutant in mutants(module)]
+    targets = _targets(names)
+    work = [(module, mutant) for module, functions in targets.items()
+            for mutant in mutants(module, functions)]
     counts = {"killed": 0, "timeout": 0, "equivalent": 0, "survived": 0}
-    stale = {name for name in accepted if name.split(".", 1)[0] in modules}
+    stale = {name for name in accepted if _targeted(name, targets)}
     stale -= {mutant.name for _, mutant in work}
     began = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="hexphi-mutate-") as scratch:
@@ -211,7 +247,7 @@ def run(modules: list[str]) -> int:
                     stale.add(mutant.name)
             counts[outcome] += 1
             print(f"{outcome:10} {mutant.name}", flush=True)
-    print(f"{len(work)} mutants of {', '.join(modules)} in {time.monotonic() - began:.0f} s: "
+    print(f"{len(work)} mutants of {', '.join(names)} in {time.monotonic() - began:.0f} s: "
           + ", ".join(f"{n} {outcome}" for outcome, n in counts.items()))
     for name in sorted(stale):
         print(f"accepted, but killed or no longer a site: {name}")
@@ -220,13 +256,20 @@ def run(modules: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="mutate.py", description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="*", default=list(DEFAULT_MODULES),
-                        help="hexphi modules to mutate (default: %(default)s)")
+    parser.add_argument("targets", nargs="*", default=list(DEFAULT_MODULES),
+                        metavar="module[.function]",
+                        help="hexphi modules or functions to mutate (default: %(default)s)")
     args = parser.parse_args(argv)
-    unknown = [module for module in args.modules if not (PACKAGE / f"{module}.py").is_file()]
+    unknown = [module for module in _targets(args.targets)
+               if not (PACKAGE / f"{module}.py").is_file()]
     if unknown:
         parser.error(f"no such module in {PACKAGE}: {', '.join(unknown)}")
-    return run(args.modules)
+    for module, functions in _targets(args.targets).items():
+        defined = {name for name, _ in _functions(ast.parse((PACKAGE / f"{module}.py").read_bytes()))}
+        missing = [function for function in functions or () if function not in defined]
+        if missing:
+            parser.error(f"no such function in {module}: {', '.join(missing)}")
+    return run(args.targets)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,10 @@ from hexphi.exact import (
     sign,
     sqrt_exact,
     to_decimal,
+    to_decimals,
 )
+import bisection_oracle
+import hexphi.cli as cli
 from hexphi.construction import build_cluster
 from hexphi.geometry import Point
 from hexphi.tessellation import HexIndex, VertexRef, hex_corners
@@ -403,6 +406,148 @@ def test_decimal_sign_consistency(x):
 
 
 # --- parsing and formatting ---------------------------------------------------
+
+
+# --- to_decimals: one rounding pass -----------------------------------------
+
+def _near_boundaries() -> list[QuadExt]:
+    """Values within 10**-20 of a 12-digit rounding boundary, of both signs:
+    a half unit (where half-even turns) and a whole unit (where truncation
+    turns), each off by sqrt5 or sqrt3 less a 26-digit decimal of it."""
+    values = []
+    for root in (SQRT5, SQRT3):
+        tail = root - parse_rational(to_decimal(root, 26))  # 0 < |tail| < 10**-26
+        for boundary in (Fraction(7, 10) + Fraction(1, 2 * 10**12), Fraction(-3, 10)):
+            values += [boundary + tail, boundary - tail]
+    return values
+
+
+STREAM = (
+    [Fraction(1, 8), Fraction(-89, 55), 0, 7, Fraction(1, 3 * 10**12)]  # rationals
+    + [SQRT3, QuadExt(Fraction(1, 2), Fraction(-7, 3)), QuadExt(0, 10**40 + 1)]  # Q(sqrt3)
+    + [PHI, -PHI, SQRT15, QuadExt(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11),
+                                  Fraction(-1, 13))]  # the whole field
+    + [QuadExt(0, 0, Fraction(10**25, 3)), QuadExt(1, 0, 0, -(10**60))]  # larger guards
+    + _near_boundaries()
+)
+
+
+@pytest.mark.parametrize("rounding", [HALF_EVEN, TRUNCATE])
+@pytest.mark.parametrize("digits", [1, 12, 30])
+def test_one_stream_rounds_each_value_as_alone(rounding, digits):
+    # a value's digits do not depend on the values rounded before it, though
+    # they share powers of ten and roots: the stream runs twice, the second
+    # time after every value has been rounded alone and in reverse order
+    alone = [to_decimal(value, digits, rounding) for value in STREAM]
+    assert list(to_decimals(STREAM, digits, rounding)) == alone
+    assert list(to_decimals(STREAM[::-1], digits, rounding)) == alone[::-1]
+    assert alone == [bisection_oracle.to_decimal(value, digits, rounding) for value in STREAM]
+
+
+def test_near_boundary_values_double_their_guard_once_per_stream(monkeypatch):
+    # the four sqrt5 values: two by a half unit, where half-even turns, and
+    # two by a whole unit, where truncation turns.  A value by its mode's
+    # boundary takes the root at its first guard and at twice that, which
+    # settles it; one stream takes each root once, each value alone its own
+    near = _near_boundaries()[:4]
+    roots = _count_roots(monkeypatch)
+    assert list(to_decimals(near, 12, HALF_EVEN)) == [
+        "0.700000000000", "0.700000000001", "-0.300000000000", "-0.300000000000",
+    ]
+    # sqrt5's coefficient 1 starts at guard 9, and 18 settles
+    assert roots == [5 * 10 ** (2 * (12 + 9)), 5 * 10 ** (2 * (12 + 18))]
+    roots.clear()
+    assert [to_decimal(value, 12, TRUNCATE) for value in near] == [
+        "0.700000000000", "0.700000000000", "-0.300000000000", "-0.299999999999",
+    ]
+    assert len(roots) == 1 + 1 + 2 + 2
+
+
+@pytest.mark.parametrize("value, guard", [
+    (PHI, 8),  # (1 + sqrt5)/2: a coefficient under 1, so no whole digit
+    (SQRT5, 9),  # a 1-bit coefficient: 31/100 of a bit rounds up to one digit
+    (QuadExt(0, 2**12), 13),  # 13 bits: 4.03 digits, so 5
+    (QuadExt(0, 0, 0, -(2**99)), 39),  # 100 bits: 31 digits
+])
+def test_first_guard_is_8_more_than_the_whole_digits(monkeypatch, value, guard):
+    # the first root is taken at the scale 10**(digits + guard), where the
+    # guard is 8 plus 31/100 of the whole bits of the largest irrational
+    # coefficient, rounded up: an upper bound on its whole decimal digits
+    taken = _count_roots(monkeypatch)
+    to_decimal(value, 10)
+    radicand = next(r for r, coeff in zip((3, 5, 15), value._num[1:]) if coeff)
+    assert taken[0] == radicand * 10 ** (2 * (10 + guard))
+
+
+@pytest.mark.parametrize("coeff, expected", [(1, "4.999999999999"), (-1, "5.000000000000")])
+def test_enclosure_is_one_root_unit_wide(monkeypatch, coeff, expected):
+    # at 12 digits sqrt5's coefficient +-1 takes guard 9, so its root is
+    # taken at scale 10**21, and the value is enclosed within one unit of
+    # that scale: these values lie next to the truncation boundary 5 with
+    # their enclosure just off it, so one unit more would double the guard
+    scale = 10**21
+    root = math.isqrt(5 * scale * scale)
+    whole = Fraction(5 * scale - 2 - root if coeff > 0 else 5 * scale + root + 1, scale)
+    value = QuadExt(whole, 0, coeff)
+    roots = _count_roots(monkeypatch)
+    assert to_decimal(value, 12, TRUNCATE) == expected
+    assert roots == [5 * scale * scale]
+    assert bisection_oracle.to_decimal(value, 12, TRUNCATE) == expected
+
+    read = []
+
+    def values():
+        for value in STREAM:
+            read.append(value)
+            yield value
+
+    stream = to_decimals(values(), 12)
+    assert read == []
+    for count, text in enumerate(stream, 1):
+        assert len(read) == count
+        assert text == to_decimal(read[-1], 12)
+    assert len(read) == len(STREAM)
+
+
+def test_stream_checks_its_arguments_at_the_call_and_each_value_when_read():
+    with pytest.raises(ValueError):
+        to_decimals([PHI], 0)
+    with pytest.raises(ValueError):
+        to_decimals([PHI], 5, "floor")
+    stream = to_decimals([PHI, 1.5, SQRT3], 5)
+    assert next(stream) == "1.61803"
+    with pytest.raises(TypeError):
+        next(stream)
+
+
+def _count_roots(monkeypatch) -> list[int]:
+    """From now on, record the argument of each math.isqrt call, anywhere."""
+    calls = []
+    isqrt = math.isqrt
+
+    def counted(n):
+        calls.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(math, "isqrt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # every variance of a 10-digit table settles at guard 8: one sqrt5 root
+    (["fib", "--max", "300"], 1),
+    (["fib", "--max", "300", "--json", "--rounding", "half-even"], 1),
+    # six distinct (radicand, guard) pairs in the figure, and the construction's six
+    (["render", "--out", "{tmp}/figure.svg"], 12),
+    # two decimals and the construction's two sqrt_exact calls
+    (["verify"], 8),
+    (["verify", "--digits", "4300"], 8),
+], ids=["fib", "fib-json", "render", "verify", "verify-4300"])
+def test_integer_roots_per_command(monkeypatch, capsys, tmp_path, argv, expected):
+    roots = _count_roots(monkeypatch)
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    capsys.readouterr()
+    assert len(roots) == expected
 
 def test_format_fraction_canonical():
     assert format_fraction(Fraction(6, 4)) == "3/2"

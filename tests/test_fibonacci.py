@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,14 @@ def test_assess_nearest_rejects_bad_input():
     with pytest.raises(ValueError):
         assess_nearest("0")
 
+
+
+@pytest.mark.parametrize("value", [1.618, Decimal("1.618")], ids=repr)
+def test_assess_nearest_takes_only_a_str_int_or_fraction(value):
+    # a number enters through exact's one gate: no float, and no Decimal,
+    # which would have no digit bound; parse_rational reads a literal
+    with pytest.raises(TypeError):
+        assess_nearest(value)
 
 def _exhaustive_nearest(target: Fraction, max_n: int = 60) -> int:
     best_n = 2

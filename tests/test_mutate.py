@@ -33,3 +33,13 @@ def test_a_mutant_changes_only_its_site():
     source = (mutate.PACKAGE / "geometry.py").read_text()
     (mutant,) = [m for m in mutate.mutants("geometry") if m.name.endswith("sy < 0 -> sy <= 0")]
     assert mutant.source == source.replace("sy < 0 or", "(sy <= 0) or", 1)
+
+
+def test_a_function_target_takes_the_function_and_what_it_nests():
+    whole = list(mutate.mutants("exact"))
+    chosen = list(mutate.mutants("exact", ("QuadExt.inverse", "_rounded")))
+    owners = {"exact.QuadExt.inverse", "exact._rounded"}
+    assert chosen and chosen == [m for m in whole if m.name.split(":")[0] in owners]
+    assert mutate._targets(["exact.sign", "exact", "cli.main", "cli._parse"]) == {
+        "exact": None, "cli": ("main", "_parse"),
+    }

@@ -94,17 +94,19 @@ def test_matches_golden_file():
 ])
 def test_each_distinct_value_is_rounded_once(monkeypatch, vertex, side, expected):
     # a figure repeats centers, radii and endpoints across its layers; each
-    # distinct field value is rounded once, equal values sharing a hash
+    # distinct field value is rounded once, equal values sharing a hash, in
+    # the figure's one rounding pass
     report = make_report(build_cluster(vertex, side))
-    rounded = []
-    to_decimal = render.to_decimal
+    passes = []
+    to_decimals = render.to_decimals
 
-    def counted(value, frac_digits):
-        rounded.append(value)
-        return to_decimal(value, frac_digits)
+    def recorded(values, frac_digits):
+        passes.append(list(values))
+        return to_decimals(passes[-1], frac_digits)
 
-    monkeypatch.setattr(render, "to_decimal", counted)
+    monkeypatch.setattr(render, "to_decimals", recorded)
     render_svg(report)
+    (rounded,) = passes
     assert len(rounded) == len(set(rounded))
     if expected is not None:
         assert len(rounded) == expected
