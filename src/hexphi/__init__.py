@@ -30,7 +30,7 @@ from .exact import (
 from .fibonacci import Convergent, assess_nearest, convergent, convergents
 from .geometry import ParamLine, Point
 from .render import render_svg
-from .tessellation import HexIndex, VertexRef, enumerate_vertices, hex_corners, incident_hexagons
+from .tessellation import HexIndex, VertexRef, enumerate_vertices, incident_hexagons
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "convergents",
     "enumerate_vertices",
     "format_fraction",
-    "hex_corners",
     "incident_hexagons",
     "make_report",
     "parse_rational",

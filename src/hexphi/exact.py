@@ -8,9 +8,11 @@ Algebraic Number Theory*, 1993, section 4.2).  Since
 ``{1, sqrt3, sqrt5, sqrt15}`` is a basis of the field over the rationals, a
 value has exactly one such form, so equality, hashing and zero tests are
 structural and tolerance-free, and arithmetic is integer arithmetic plus one
-gcd per result.  When neither operand has a sqrt(5) or sqrt(15) part, as for
-the construction's points, frame and directions, a sum, difference or product
-works on the two Q(sqrt3) numerators alone and gives the same reduced form.
+gcd per result.  Sums and differences share one kernel, `_sum`: a difference
+is the sum with the second operand's numerators negated.  When neither
+operand has a sqrt(5) or sqrt(15) part, as for the construction's points,
+frame and directions, a sum, difference or product works on the two Q(sqrt3)
+numerators alone and gives the same reduced form.
 
 Two questions cannot be answered coefficient-wise: the sign of an element and
 its decimal rendering.  The sign is decided algebraically (Yap, "Towards exact
@@ -90,9 +92,11 @@ class QuadExt:
     so that ``gcd(a, b, c, d, den) == 1``.  That form is unique, so ``==`` is
     mathematical equality and the hash is structural.  The ``a`` to ``d``
     properties give each coefficient as a reduced ``Fraction``.  Arithmetic
-    closes over the field in ints: a product is 16 integer products and one
-    gcd, or 4 and a gcd of three ints when both factors lie in Q(sqrt3)
-    (``c == d == 0``), and the inverse has a closed form (see `inverse`).
+    closes over the field in ints: sums and differences, reflected ones too,
+    go through the one kernel `_sum` (Henrici's reduced sum); a product is 16
+    integer products and one gcd, or 4 and a gcd of three ints when both
+    factors lie in Q(sqrt3) (``c == d == 0``), and the inverse has a closed
+    form (see `inverse`).
     """
 
     __slots__ = ("_num", "_den")
@@ -178,44 +182,11 @@ class QuadExt:
         return -self if sign(self) < 0 else self
 
     def __add__(self, other: QuadExt | int | Fraction) -> QuadExt:
-        """The sum, with Henrici's reduction.
-
-        With ``g = gcd(e1, e2)`` of the two denominators, the sum is
-        ``t / (e1*e2/g)`` for ``t = n1*(e2/g) + n2*(e1/g)``.  A prime that
-        divides ``e1/g`` or ``e2/g`` cannot divide all of t, since each term
-        is reduced, so the common factor of the sum is ``gcd(g, t)``: 1 when
-        the denominators are coprime.  `fractions` adds two ``Fraction``
-        values the same way.  When both terms lie in Q(sqrt3), only the first
-        two numerators of t are computed.  `__sub__` is the same with the
-        signs of ``n2`` flipped.
-        """
         if other.__class__ is not QuadExt:
             other = _as_quadext(other)
             if other is None:
                 return NotImplemented
-        a1, b1, c1, d1 = self._num
-        a2, b2, c2, d2 = other._num
-        g = gcd(self._den, other._den)
-        s = self._den // g
-        t = other._den // g
-        den = s * other._den
-        x = _object_new(QuadExt)
-        if c1 or d1 or c2 or d2:
-            a, b, c, d = a1 * t + a2 * s, b1 * t + b2 * s, c1 * t + c2 * s, d1 * t + d2 * s
-            if g != 1:
-                g = gcd(g, a, b, c, d)  # math.gcd stops at the first 1
-                if g != 1:
-                    a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
-            x._num = (a, b, c, d)
-        else:  # both in Q(sqrt3)
-            a, b = a1 * t + a2 * s, b1 * t + b2 * s
-            if g != 1:
-                g = gcd(g, a, b)
-                if g != 1:
-                    a, b, den = a // g, b // g, den // g
-            x._num = (a, b, 0, 0)
-        x._den = den
-        return x
+        return _sum(self._num, self._den, other._num, other._den)
 
     __radd__ = __add__
 
@@ -224,35 +195,15 @@ class QuadExt:
             other = _as_quadext(other)
             if other is None:
                 return NotImplemented
-        a1, b1, c1, d1 = self._num
-        a2, b2, c2, d2 = other._num
-        g = gcd(self._den, other._den)
-        s = self._den // g
-        t = other._den // g
-        den = s * other._den
-        x = _object_new(QuadExt)
-        if c1 or d1 or c2 or d2:
-            a, b, c, d = a1 * t - a2 * s, b1 * t - b2 * s, c1 * t - c2 * s, d1 * t - d2 * s
-            if g != 1:
-                g = gcd(g, a, b, c, d)
-                if g != 1:
-                    a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
-            x._num = (a, b, c, d)
-        else:  # both in Q(sqrt3)
-            a, b = a1 * t - a2 * s, b1 * t - b2 * s
-            if g != 1:
-                g = gcd(g, a, b)
-                if g != 1:
-                    a, b, den = a // g, b // g, den // g
-            x._num = (a, b, 0, 0)
-        x._den = den
-        return x
+        a, b, c, d = other._num
+        return _sum(self._num, self._den, (-a, -b, -c, -d), other._den)
 
     def __rsub__(self, other: QuadExt | int | Fraction) -> QuadExt:
         o = _as_quadext(other)
         if o is None:
             return NotImplemented
-        return o - self
+        a, b, c, d = self._num
+        return _sum(o._num, o._den, (-a, -b, -c, -d), self._den)
 
     def __mul__(self, other: QuadExt | int | Fraction) -> QuadExt:
         if other.__class__ is not QuadExt:
@@ -341,6 +292,43 @@ class QuadExt:
             "d": format_fraction(self.d),
             "decimal": to_decimal(self, 12),
         }
+
+
+def _sum(n1: tuple[int, int, int, int], e1: int, n2: tuple[int, int, int, int], e2: int) -> QuadExt:
+    """The sum of the reduced forms ``n1 / e1`` and ``n2 / e2``, with Henrici's
+    reduction; a difference is the sum with ``n2`` negated.
+
+    With ``g = gcd(e1, e2)`` of the two denominators, the sum is
+    ``t / (e1*e2/g)`` for ``t = n1*(e2/g) + n2*(e1/g)``.  A prime that
+    divides ``e1/g`` or ``e2/g`` cannot divide all of t, since each term is
+    reduced, so the common factor of the sum is ``gcd(g, t)``: 1 when the
+    denominators are coprime.  `fractions` adds two ``Fraction`` values the
+    same way.  When both terms lie in Q(sqrt3), only the first two
+    numerators of t are computed.
+    """
+    a1, b1, c1, d1 = n1
+    a2, b2, c2, d2 = n2
+    g = gcd(e1, e2)
+    s = e1 // g
+    t = e2 // g
+    den = s * e2
+    x = _object_new(QuadExt)
+    if c1 or d1 or c2 or d2:
+        a, b, c, d = a1 * t + a2 * s, b1 * t + b2 * s, c1 * t + c2 * s, d1 * t + d2 * s
+        if g != 1:
+            g = gcd(g, a, b, c, d)  # math.gcd stops at the first 1
+            if g != 1:
+                a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+        x._num = (a, b, c, d)
+    else:  # both in Q(sqrt3)
+        a, b = a1 * t + a2 * s, b1 * t + b2 * s
+        if g != 1:
+            g = gcd(g, a, b)
+            if g != 1:
+                a, b, den = a // g, b // g, den // g
+        x._num = (a, b, 0, 0)
+    x._den = den
+    return x
 
 
 def _new(num: tuple[int, int, int, int], den: int) -> QuadExt:
@@ -590,6 +578,8 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {quoted(text)}") from None
+        except ValueError:  # not an int on one side: int()'s message repeats it uncut
+            raise ValueError(f"not a rational literal: {quoted(text)}") from None
     s = s.replace(",", ".", 1)
     match = re.fullmatch(_DECIMAL_LITERAL, s)
     if match is not None:

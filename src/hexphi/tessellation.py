@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import MAX_DIGITS, _reduced, positive_rational, quoted
+from .exact import MAX_DIGITS, _reduced, quoted
 from .geometry import Point
 
 # corner k of hexagon (q, r) is corner 0 or 1 of hexagon (q + dq, r + dr):
@@ -99,12 +99,6 @@ def _center(hexagon: HexIndex, side: int | Fraction) -> Point:
 
 def _corner(hexagon: HexIndex, side: int | Fraction, k: int) -> Point:
     return _point(3 * hexagon.q + _CORNER_X[k], hexagon.q + 2 * hexagon.r + _CORNER_Y[k], side)
-
-
-def hex_corners(hexagon: HexIndex, side: int | Fraction = 1) -> list[Point]:
-    """The six corner points, corner 0 first."""
-    side = positive_rational("side", side)
-    return [_corner(hexagon, side, k) for k in range(6)]
 
 
 def incident_hexagons(vertex: VertexRef) -> tuple[HexIndex, HexIndex, HexIndex]:

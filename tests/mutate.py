@@ -83,6 +83,13 @@ def _functions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
     yield from visit(tree, "")
 
 
+def _defined(module: str) -> set[str]:
+    """The qualified names a target may give in `module`: each function or
+    method, and each class (a method's name less its last part)."""
+    functions = {name for name, _ in _functions(ast.parse((PACKAGE / f"{module}.py").read_bytes()))}
+    return functions | {name.rpartition(".")[0] for name in functions if "." in name}
+
+
 def _own_nodes(nodes: list[ast.AST]) -> Iterator[ast.AST]:
     """`nodes` and all below them in source order, not entering nested
     functions (they are visited on their own) or f-strings (whose inner
@@ -265,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"no such module in {PACKAGE}: {', '.join(unknown)}")
     for module, functions in _targets(args.targets).items():
-        defined = {name for name, _ in _functions(ast.parse((PACKAGE / f"{module}.py").read_bytes()))}
+        defined = _defined(module)
         missing = [function for function in functions or () if function not in defined]
         if missing:
             parser.error(f"no such function in {module}: {', '.join(missing)}")

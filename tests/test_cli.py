@@ -451,6 +451,7 @@ def test_oversized_rational_literal_is_usage_error(capsys, argv):
     "--vertex=1," + "x" * 5000 + ",0",
     "--digits=" + "x" * 5000,
     "--side=-" + "1" * 4300 + "/" + "3" * 4300,
+    "--side=1/" + "x" * 5000,
 ])
 def test_long_rejected_literal_is_cut_in_the_message(capsys, arg):
     code, out, err = run(capsys, "verify", arg)
@@ -524,6 +525,11 @@ BOUNDARY_SWEEP += [
     (("assess", "--ratio", "0"), 2, NOT_POSITIVE + "'0'"),
     (("verify", "--", "-1,0,3"), 2, "unrecognized arguments: -- -1,0,3\n"),
     (("assess", "--ratio", f"{(3 * _ODD_Q + 1) // 2}/{_ODD_Q}"), 2, "distance out of range"),
+]
+# a p/q literal with a malformed side is refused as a decimal one is
+BOUNDARY_SWEEP += [
+    (("verify", "--side", "1/2/3"), 2, "not a rational literal: '1/2/3'\n"),
+    (("assess", "--ratio", "1/2/3"), 2, "not a rational literal: '1/2/3'\n"),
 ]
 
 

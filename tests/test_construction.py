@@ -26,7 +26,7 @@ from hexphi.construction import (
 from hexphi.exact import MAX_DIGITS, PHI, NotRepresentable, QuadExt, sign, sqrt_exact, to_decimal
 from hexphi.fibonacci import convergent
 from hexphi.geometry import Point, tangent_frame, tangent_lines_in_frame
-from hexphi.tessellation import HexIndex, VertexRef, enumerate_vertices, hex_corners
+from hexphi.tessellation import HexIndex, VertexRef, _corner, enumerate_vertices
 
 HALF = Fraction(1, 2)
 ORIGIN_VERTEX = VertexRef(HexIndex(0, 0), 0)
@@ -72,7 +72,7 @@ def test_build_cluster_finds_each_center_once(monkeypatch):
         called.clear()
         cluster = build_cluster(vertex, Fraction(5, 7))
         assert called == [hexagon for hexagon, _ in cluster.centers]
-        assert cluster.o == hex_corners(vertex.hex, Fraction(5, 7))[vertex.corner]
+        assert cluster.o == _corner(vertex.hex, Fraction(5, 7), vertex.corner)
 
 
 def test_build_cluster_input_validation():

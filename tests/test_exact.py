@@ -33,7 +33,7 @@ import bisection_oracle
 import hexphi.cli as cli
 from hexphi.construction import build_cluster
 from hexphi.geometry import Point
-from hexphi.tessellation import HexIndex, VertexRef, hex_corners
+from hexphi.tessellation import HexIndex, VertexRef
 
 RATIONALS = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -42,8 +42,12 @@ ELEMENTS = st.builds(QuadExt, RATIONALS, RATIONALS, RATIONALS, RATIONALS)
 
 
 def _decimal_oracle(x: QuadExt, digits: int, rounding: str = HALF_EVEN) -> str:
-    """Independent rendering via integer square roots at guard precision."""
-    guard = digits + 25
+    """Independent rendering via integer square roots at guard precision.
+
+    A root's error, under ``10**-guard``, is multiplied by its coefficient,
+    so the guard grows by the whole digits of the largest one."""
+    whole_digits = len(str(int(max(abs(x.b), abs(x.c), abs(x.d)))))
+    guard = digits + 25 + whole_digits
     scale = 10**guard
     root3 = math.isqrt(3 * scale * scale)
     root5 = math.isqrt(5 * scale * scale)
@@ -232,6 +236,15 @@ def test_comparisons_use_exact_sign():
     assert abs(SQRT3 - SQRT5) == SQRT5 - SQRT3
 
 
+@pytest.mark.parametrize("x, y, order", [
+    (SQRT3, SQRT5, -1), (SQRT5, SQRT3, 1), (-PHI, Fraction(-8, 5), -1), (0, -SQRT15, 1),
+    (PHI, PHI, 0), (QuadExt(Fraction(-8, 5)), Fraction(-8, 5), 0),
+])
+def test_each_comparison_follows_the_order(x, y, order):
+    # order is -1, 0 or 1 as x is less than, equal to or greater than y
+    assert (x < y, x <= y, x > y, x >= y) == (order == -1, order != 1, order == 1, order != -1)
+
+
 # --- sqrt_exact --------------------------------------------------------------
 
 def test_sqrt_exact_perfect_square():
@@ -380,6 +393,8 @@ def test_decimal_matches_integer_sqrt_oracle():
         QuadExt(Fraction(9, 2), 0, Fraction(3, 2)),
         QuadExt(0, Fraction(1, 2), 0, Fraction(1, 2)),
         QuadExt(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(-1, 13)),
+        QuadExt(0, 10**40 + 1),  # a large root coefficient: the guard grows with it
+        QuadExt(10**40 + Fraction(1, 7), Fraction(-2, 3), 0, Fraction(1, 5)),  # a large a
     ]
     for x in cases:
         for digits in (1, 6, 10, 12):
@@ -592,12 +607,11 @@ def test_as_quadext_rejects_floats():
     QuadExt,
     sqrt_exact,
     lambda value: build_cluster(VertexRef(HexIndex(0, 0), 0), value),
-    lambda value: hex_corners(HexIndex(0, 0), value),
     as_quadext,
     sign,
     lambda value: to_decimal(value, 5),
     lambda value: Point(value, 0),
-], ids=["QuadExt", "sqrt_exact", "build_cluster", "hex_corners", "as_quadext", "sign",
+], ids=["QuadExt", "sqrt_exact", "build_cluster", "as_quadext", "sign",
         "to_decimal", "Point"])
 @pytest.mark.parametrize("value", ["1/2", "1e4301", Decimal("1.5"), 1.5], ids=repr)
 def test_only_ints_and_fractions_enter_the_field(entry, value):

@@ -136,6 +136,8 @@ def test_assess_nearest_rejects_bad_input():
         assess_nearest("-1.6")
     with pytest.raises(ValueError):
         assess_nearest("0")
+    with pytest.raises(ValueError, match="^not a rational literal: '1/2/3'$"):
+        assess_nearest("1/2/3")
 
 
 

@@ -43,3 +43,9 @@ def test_a_function_target_takes_the_function_and_what_it_nests():
     assert mutate._targets(["exact.sign", "exact", "cli.main", "cli._parse"]) == {
         "exact": None, "cli": ("main", "_parse"),
     }
+
+
+def test_a_class_target_takes_its_methods():
+    assert {"QuadExt", "QuadExt.__add__", "_sum"} <= mutate._defined("exact")
+    methods = list(mutate.mutants("exact", ("QuadExt",)))
+    assert methods and all(m.name.startswith("exact.QuadExt.") for m in methods)

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "convergents",
     "enumerate_vertices",
     "format_fraction",
-    "hex_corners",
     "incident_hexagons",
     "make_report",
     "parse_rational",
