@@ -225,79 +225,90 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subcommand parsers it dispatches to, by name.
+def _add_vertex(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--vertex", type=_vertex_arg, default=VertexRef(HexIndex(0, 0), 0),
+                        metavar="Q,R,C",
+                        help="tessellation vertex as hexagon q,r and corner c (default 0,0,0)")
+    _add_side(parser)  # every subcommand that takes --vertex takes --side after it
 
-    Their usage errors raise `_Misuse`, which `_parse` reports.
-    """
+
+def _add_side(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--side", type=_positive_rational_arg, default=Fraction(1), metavar="P/Q",
+                        help="hexagon side length, a positive rational (default 1)")
+
+
+def _add_verify(parser: argparse.ArgumentParser) -> None:
+    _add_vertex(parser)
+    parser.add_argument("--digits", type=_int_at_least(1, MAX_DIGITS), default=10, metavar="D")
+    parser.add_argument("--json", action="store_true", help="emit the full report as JSON")
+    parser.set_defaults(handler=_cmd_verify)
+
+
+def _add_scan(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--radius", type=_int_at_least(0, MAX_SCAN_RADIUS), required=True,
+                        metavar="N")
+    _add_side(parser)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(handler=_cmd_scan)
+
+
+def _add_fib(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max", type=_int_at_least(2, MAX_FIB_INDEX), required=True, metavar="N")
+    parser.add_argument("--digits", type=_int_at_least(1, MAX_DIGITS), default=10, metavar="D")
+    parser.add_argument("--rounding", choices=(TRUNCATE, HALF_EVEN), default=TRUNCATE)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(handler=_cmd_fib)
+
+
+def _add_assess(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ratio", type=_positive_rational_arg, required=True, metavar="X")
+    parser.set_defaults(handler=_cmd_assess)
+
+
+def _add_render(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", required=True, metavar="FILE")
+    _add_vertex(parser)
+    parser.set_defaults(handler=_cmd_render)
+
+
+# each subcommand, in help order: its help line and what adds its arguments and handler
+_COMMANDS = {
+    "verify": ("check one vertex exactly", _add_verify),
+    "scan": ("check every vertex of a hexagonal patch", _add_scan),
+    "fib": ("Fibonacci convergent table with variances", _add_fib),
+    "assess": ("nearest convergent to a given ratio", _add_assess),
+    "render": ("write the construction as an SVG figure", _add_render),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser over every subcommand's; their usage errors raise `_Misuse`."""
     parser = _Parser(
         prog="hexphi",
         description="Exact golden-section checks on tangent segments of hexagon circle clusters.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_vertex(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--vertex",
-            type=_vertex_arg,
-            default=VertexRef(HexIndex(0, 0), 0),
-            metavar="Q,R,C",
-            help="tessellation vertex as hexagon q,r and corner c (default 0,0,0)",
-        )
-
-    def add_side(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--side",
-            type=_positive_rational_arg,
-            default=Fraction(1),
-            metavar="P/Q",
-            help="hexagon side length, a positive rational (default 1)",
-        )
-
-    verify = subparsers.add_parser("verify", help="check one vertex exactly")
-    add_vertex(verify)
-    add_side(verify)
-    verify.add_argument("--digits", type=_int_at_least(1, MAX_DIGITS), default=10, metavar="D")
-    verify.add_argument("--json", action="store_true", help="emit the full report as JSON")
-    verify.set_defaults(handler=_cmd_verify)
-
-    scan = subparsers.add_parser("scan", help="check every vertex of a hexagonal patch")
-    scan.add_argument(
-        "--radius", type=_int_at_least(0, MAX_SCAN_RADIUS), required=True, metavar="N"
-    )
-    add_side(scan)
-    scan.add_argument("--json", action="store_true")
-    scan.set_defaults(handler=_cmd_scan)
-
-    fib = subparsers.add_parser("fib", help="Fibonacci convergent table with variances")
-    fib.add_argument("--max", type=_int_at_least(2, MAX_FIB_INDEX), required=True, metavar="N")
-    fib.add_argument("--digits", type=_int_at_least(1, MAX_DIGITS), default=10, metavar="D")
-    fib.add_argument("--rounding", choices=(TRUNCATE, HALF_EVEN), default=TRUNCATE)
-    fib.add_argument("--json", action="store_true")
-    fib.set_defaults(handler=_cmd_fib)
-
-    assess = subparsers.add_parser("assess", help="nearest convergent to a given ratio")
-    assess.add_argument("--ratio", type=_positive_rational_arg, required=True, metavar="X")
-    assess.set_defaults(handler=_cmd_assess)
-
-    render = subparsers.add_parser("render", help="write the construction as an SVG figure")
-    render.add_argument("--out", required=True, metavar="FILE")
-    add_vertex(render)
-    add_side(render)
-    render.set_defaults(handler=_cmd_render)
-
-    return parser, subparsers.choices
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(subparsers.add_parser(name, help=help_line))
+    return parser
 
 
-# One parser per process, built on the first call to `main` and not on import.
-# Reuse cannot carry anything from one call into the next: `parse_args` and
-# `parse_known_args` only read the parsers' actions and defaults and write
-# into a fresh Namespace, every default is immutable (a frozen VertexRef,
-# Fraction(1), ints, strs and bools), `prog` is explicit, and help and usage
-# look up sys.stdout, sys.stderr and the terminal width when they print.  The
-# subcommand map is argparse's own, which no parse writes: `_parse` only looks
-# a name up in it.  The handlers look up `make_report` and the rest through
-# this module's globals at call time.
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """`name`'s parser as `build_parser` builds it: argparse's add_parser passes only `prog`."""
+    parser = _Parser(prog=f"hexphi {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+# Two caches, filled on use and not on import: a subcommand's parser on the
+# first call that names it, the top-level tree on the first help, usage error
+# or leftover token.  Reuse carries nothing from one call into the next:
+# parsing only reads the parsers' actions and defaults and writes into a fresh
+# Namespace, every default is immutable (a frozen VertexRef, Fraction(1),
+# ints, strs and bools), `prog` is explicit, help and usage look up the
+# streams and the terminal width when they print, and the handlers look up
+# `make_report` and the rest through this module's globals at call time.
 _parser = functools.cache(build_parser)
 
 
@@ -329,14 +340,13 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     `ECHO_CHARS`, whole or its part after "=" or a short flag, raw or as a
     repr, is cut as `quoted` cuts it.
     """
-    parser, commands = _parser()
     try:
-        command = commands.get(argv[0]) if argv else None
-        if command is not None:
+        if argv and argv[0] in _COMMANDS:
+            command = _command_parser(argv[0])
             args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
             if not rest:
                 return args
-        return parser.parse_args(argv)
+        return _parser().parse_args(argv)
     except _Misuse as exc:  # from the top-level parser or a subcommand's
         failed, message = exc.args
         for token in sorted(argv, key=len, reverse=True):

@@ -5,6 +5,7 @@ Each mutant changes one site inside a function of one module:
 - a comparison operator flips: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and
   ``!=``, ``is`` and ``is not``, ``in`` and ``not in`` swap;
 - ``+`` and ``-`` swap, and ``*`` becomes ``+``;
+- a negation ``-x`` becomes ``x``;
 - an int constant n becomes n + 1.
 
 A mutant is named by its module, its function and its source text before and
@@ -109,7 +110,8 @@ def _within(qualname: str, functions: tuple[str, ...] | None) -> bool:
 
 def _sites(tree: ast.Module) -> Iterator[tuple[str, ast.AST, str, object, object]]:
     """(function, node, field, its value before, after) for each mutation
-    site: ``ops`` of a comparison, ``op`` of arithmetic, ``value`` of an int."""
+    site: ``ops`` of a comparison, ``op`` of arithmetic, ``value`` of an int;
+    for a negation, field None and the operand that takes the node's place."""
     for qualname, function in _functions(tree):
         for node in _own_nodes(function.body):
             if isinstance(node, ast.Compare):
@@ -119,6 +121,8 @@ def _sites(tree: ast.Module) -> Iterator[tuple[str, ast.AST, str, object, object
                     yield qualname, node, "ops", node.ops, ops
             elif isinstance(node, ast.BinOp) and type(node.op) in _FLIPS:
                 yield qualname, node, "op", node.op, _FLIPS[type(node.op)]()
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+                yield qualname, node, None, node, node.operand
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, int)
@@ -158,10 +162,14 @@ def mutants(module: str, functions: tuple[str, ...] | None = None) -> Iterator[M
     for qualname, node, field, before, after in _sites(tree):
         context = _context(node, parents)
         was = ast.unparse(context)
-        setattr(node, field, after)
-        now = ast.unparse(context)
-        replacement = ast.unparse(node) if field == "value" else f"({ast.unparse(node)})"
-        setattr(node, field, before)
+        if field is None:  # a negation: its operand alone
+            now = ast.unparse(after)
+            replacement = f"({now})"
+        else:
+            setattr(node, field, after)
+            now = ast.unparse(context)
+            replacement = ast.unparse(node) if field == "value" else f"({ast.unparse(node)})"
+            setattr(node, field, before)
         name = f"{module}.{qualname}: {was} -> {now}"
         seen[name] = seen.get(name, 0) + 1
         if seen[name] > 1:

@@ -113,7 +113,7 @@ def test_oversized_vertex_component_is_usage_error(capsys):
     assert "vertex components may have at most 4300 digits each" in err
     assert "1" * 100 not in err  # the literal is not echoed
     largest = "9" * MAX_DIGITS
-    args = cli.build_parser()[0].parse_args(["verify", f"--vertex={largest},-{largest},0"])
+    args = cli.build_parser().parse_args(["verify", f"--vertex={largest},-{largest},0"])
     assert str(args.vertex) == f"{largest},-{largest},0"
 
 
@@ -242,7 +242,7 @@ def test_scan_radius_above_limit_is_usage_error(capsys, extra):
 
 def test_scan_radius_limit_is_accepted():
     # parsed only: that patch has 61,206 vertices
-    args = cli.build_parser()[0].parse_args(["scan", "--radius", str(cli.MAX_SCAN_RADIUS)])
+    args = cli.build_parser().parse_args(["scan", "--radius", str(cli.MAX_SCAN_RADIUS)])
     assert args.radius == cli.MAX_SCAN_RADIUS == 100
 
 
@@ -615,10 +615,10 @@ def test_results_do_not_depend_on_earlier_calls(capsys, monkeypatch, tmp_path):
     assert forwards == backwards[::-1]
     assert [result[0] for result in forwards] == [0, 0, 0, 0, 0, 0, 2, 2, 0]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    for index in (1, 6):
-        fresh = subprocess.run([sys.executable, "-m", "hexphi.cli", *argvs[index]], env=env,
+    for argv, result in zip(argvs, forwards):
+        fresh = subprocess.run([sys.executable, "-m", "hexphi.cli", *argv], env=env,
                                capture_output=True, text=True, timeout=120)
-        assert (fresh.returncode, fresh.stdout, fresh.stderr) == forwards[index]
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == result, argv
 
 
 def test_import_loads_no_dataclasses_inspect_or_json():
@@ -634,7 +634,7 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     assert added.isdisjoint({"dataclasses", "inspect", "json"})
 
 
-def test_parser_is_built_on_the_first_call_only(capsys, monkeypatch):
+def test_each_parser_is_built_on_the_first_call_that_needs_it(capsys, monkeypatch):
     built = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -643,13 +643,20 @@ def test_parser_is_built_on_the_first_call_only(capsys, monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._command_parser.cache_clear()
     cli._parser.cache_clear()
-    run(capsys, "verify")
-    assert built  # the parser and its subparsers
-    built.clear()
-    for argv in (("verify",), ("fib", "--max", "5"), ("scan", "--radius", "101"), ("--help",)):
-        run(capsys, *argv)
-    assert built == []
+    calls = ((("verify",), 0, ["hexphi verify"]),
+             (("fib", "--max", "5"), 0, ["hexphi fib"]),
+             (("scan", "--radius", "101"), 2, ["hexphi scan"]))
+    for argv, code, parsers in calls + tuple((argv, code, []) for argv, code, _ in calls):
+        built.clear()
+        assert run(capsys, *argv)[0] == code, argv
+        assert built == parsers, argv
+    tree = ["hexphi", *(f"hexphi {name}" for name in ("verify", "scan", "fib", "assess", "render"))]
+    for parsers in (tree, []):
+        built.clear()
+        assert run(capsys, "--help")[0] == 0
+        assert built == parsers
 
 
 def test_a_valid_call_skips_the_top_level_parser(capsys, monkeypatch):
@@ -683,4 +690,4 @@ def test_a_valid_call_skips_the_top_level_parser(capsys, monkeypatch):
     ("render", "--out", "figure.svg", "--vertex", "1,0,3"),
 ])
 def test_direct_parse_gives_the_top_level_namespace(argv):
-    assert vars(cli._parse(list(argv))) == vars(cli.build_parser()[0].parse_args(argv))
+    assert vars(cli._parse(list(argv))) == vars(cli.build_parser().parse_args(argv))

@@ -49,3 +49,10 @@ def test_a_class_target_takes_its_methods():
     assert {"QuadExt", "QuadExt.__add__", "_sum"} <= mutate._defined("exact")
     methods = list(mutate.mutants("exact", ("QuadExt",)))
     assert methods and all(m.name.startswith("exact.QuadExt.") for m in methods)
+
+
+def test_a_negation_gives_way_to_its_operand():
+    source = (mutate.PACKAGE / "exact.py").read_text()
+    negations = list(mutate.mutants("exact", ("QuadExt.__neg__",)))
+    assert [m.name for m in negations] == [f"exact.QuadExt.__neg__: -{x} -> {x}" for x in "abcd"]
+    assert negations[1].source == source.replace("((-a, -b, -c", "((-a, (b), -c", 1)
