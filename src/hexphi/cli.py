@@ -302,10 +302,10 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 
 # Two caches, filled on use and not on import: a subcommand's parser on the
-# first call that names it, the top-level tree on the first help, usage error
-# or leftover token.  Reuse carries nothing from one call into the next:
-# parsing only reads the parsers' actions and defaults and writes into a fresh
-# Namespace, every default is immutable (a frozen VertexRef, Fraction(1),
+# first call that names it, the top-level tree on the first call that names
+# none (`--help`, say) or leaves tokens over.  Reuse carries nothing from one
+# call into the next: parsing only reads the parsers' actions and defaults
+# and writes into a fresh Namespace, every default is immutable (a frozen VertexRef, Fraction(1),
 # ints, strs and bools), `prog` is explicit, help and usage look up the
 # streams and the terminal width when they print, and the handlers look up
 # `make_report` and the rest through this module's globals at call time.
