@@ -137,32 +137,39 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     vertices = enumerate_vertices(args.radius)
     failures = []
     results = []  # for --json only: text lines print as each vertex is verified
-    for vertex in vertices:
-        report = make_report(build_cluster(vertex, args.side))
-        ok = report.phi_exact_ok and report.equal_lengths_ok
-        if not ok:
-            failures.append(vertex)
-        if args.json:
-            results.append({"vertex": str(vertex), "ok": ok})
-        else:
-            print(f"{vertex} {'PASS' if ok else 'FAIL'}")
-    if args.json:
-        _print_json(
-            {
-                "radius": args.radius,
-                "side": format_fraction(args.side),
-                "decimal_separator": DECIMAL_SEPARATOR,
-                "vertices": results,
-                "total": len(vertices),
-                "failures": [str(v) for v in failures],
-                "all_ok": not failures,
-            }
-        )
+    verified = 0
+    try:
+        for vertex in vertices:
+            report = make_report(build_cluster(vertex, args.side))
+            ok = report.phi_exact_ok and report.equal_lengths_ok
+            if not ok:
+                failures.append(vertex)
+            if args.json:
+                results.append({"vertex": str(vertex), "ok": ok})
+            else:
+                print(f"{vertex} {'PASS' if ok else 'FAIL'}")
+            verified += 1
+    except KeyboardInterrupt:  # Ctrl-C: text mode sums up the vertices verified so far
+        verdict, code = "INTERRUPTED", 130
     else:
-        print(f"vertices = {len(vertices)}")
+        verdict, code = ("FAIL", 1) if failures else ("PASS", 0)
+        if args.json:
+            _print_json(
+                {
+                    "radius": args.radius,
+                    "side": format_fraction(args.side),
+                    "decimal_separator": DECIMAL_SEPARATOR,
+                    "vertices": results,
+                    "total": len(vertices),
+                    "failures": [str(v) for v in failures],
+                    "all_ok": not failures,
+                }
+            )
+    if not args.json:
+        print(f"vertices = {verified}")
         print(f"failures = {len(failures)}")
-        print(f"SCAN: {'PASS' if not failures else 'FAIL'}")
-    return 0 if not failures else 1
+        print(f"SCAN: {verdict}")
+    return code
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:

@@ -6,9 +6,9 @@ concentric circles centered on its center C: radii side/2, side and 2*side
 (relationship 1:2:4, the middle one circumscribing the hexagon and passing
 through O).  From O, two tangents are drawn to each small circle, giving six
 tangent lines.  A line O + t*dir meets a circle of radius r about C where
-lead*t^2 + 2*half*t + |O - C|^2 - r^2 = 0, for lead = |dir|^2 and
-half = (O - C).dir.  A is the middle circle's crossing other than O, at
-t_A = -2*half/lead (Vieta), and B is the large circle's crossing on the
+lead*t^2 - 2*half*t + |O - C|^2 - r^2 = 0, for lead = |dir|^2 and
+half = (C - O).dir.  A is the middle circle's crossing other than O, at
+t_A = 2*half/lead (Vieta), and B is the large circle's crossing on the
 other side of O: O lies inside it, so its roots differ in sign (the power of
 a point, Euclid III.35-36).  The claim verified here, exactly and per
 segment, is that O divides AB in the golden ratio:
@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import PHI, QuadExt, _reduced, format_fraction, positive_rational, sign, sqrt_exact
+from .exact import PHI, QuadExt, _dot, _reduced, format_fraction, positive_rational, sign, sqrt_exact
 from .geometry import Point, tangent_frame, tangent_lines_in_frame
 from .tessellation import VertexRef, _center, _corner, incident_hexagons
 
@@ -149,18 +149,16 @@ def construct_segments(cluster: Cluster) -> tuple[PhiSegment, ...]:
     for hexagon, center in cluster.centers:
         cx = center.x - ox
         cy = center.y - oy
-        if cx * cx + cy * cy != middle2:
+        if _dot(cx, cx, cy, cy) != middle2:
             raise ValueError(f"vertex must lie on the middle circle of hexagon {hexagon}")
         for line in tangent_lines_in_frame(o, cx, cy, frame):
             dx, dy = line.dir
-            lead = dx * dx + dy * dy
-            half = -(cx * dx + cy * dy)  # (O - C).dir
-            key = (lead, half)
+            key = (_dot(dx, dx, dy, dy), _dot(cx, dx, cy, dy))  # (lead, half)
             for seen, solution in solved:
                 if seen == key:
                     break
             else:
-                solution = _solve(lead, half, const)
+                solution = _solve(*key, const)
                 solved.append((key, solution))
             segments.append(PhiSegment(len(segments) + 1, hexagon, line, *solution))
     return tuple(segments)
@@ -171,13 +169,13 @@ def _solve(
 ) -> tuple[QuadExt, QuadExt, QuadExt, QuadExt, QuadExt]:
     """t_A, t_B and the squared lengths ao2, ob2, ab2 on a line with these values.
 
-    Along the line the middle circle is ``lead*t^2 + 2*half*t = 0`` and the
-    large one ``lead*t^2 + 2*half*t + const = 0``, with ``const < 0``.
+    Along the line the middle circle is ``lead*t^2 - 2*half*t = 0`` and the
+    large one ``lead*t^2 - 2*half*t + const = 0``, with ``const < 0``.
     """
     inv_lead = lead.inverse()
-    t_a = -(half + half) * inv_lead
-    root = sqrt_exact(half * half - lead * const)  # quarter discriminant, > 0
-    t_b = ((root if sign(t_a) < 0 else -root) - half) * inv_lead
+    t_a = (half + half) * inv_lead
+    root = sqrt_exact(_dot(half, half, lead, -const))  # quarter discriminant, > 0
+    t_b = (half + (root if sign(t_a) < 0 else -root)) * inv_lead
     t_ab = t_a - t_b
     return t_a, t_b, t_a * t_a * lead, t_b * t_b * lead, t_ab * t_ab * lead
 

@@ -9,9 +9,10 @@ Algebraic Number Theory*, 1993, section 4.2).  Since
 value has exactly one such form, so equality, hashing and zero tests are
 structural and tolerance-free, and arithmetic is integer arithmetic plus one
 gcd per result.  Sums and differences share one kernel, `_sum`: a difference
-is the sum with the second operand's numerators negated.  When neither
-operand has a sqrt(5) or sqrt(15) part, as for the construction's points,
-frame and directions, a sum, difference or product works on the two Q(sqrt3)
+is the sum with the second operand's numerators negated, and `_dot` sums two
+products, ``x1*y1 + x2*y2``, with one reduction.  When no operand has a
+sqrt(5) or sqrt(15) part, as for the construction's points, frame and
+directions, a sum, difference, product or `_dot` works on the two Q(sqrt3)
 numerators alone and gives the same reduced form.
 
 Two questions cannot be answered coefficient-wise: the sign of an element and
@@ -329,6 +330,30 @@ def _sum(n1: tuple[int, int, int, int], e1: int, n2: tuple[int, int, int, int], 
         x._num = (a, b, 0, 0)
     x._den = den
     return x
+
+
+def _dot(x1: QuadExt, y1: QuadExt, x2: QuadExt, y2: QuadExt) -> QuadExt:
+    """``x1*y1 + x2*y2``: in Q(sqrt3), the two unreduced products summed as in
+    `_sum`, then one gcd of the denominator and both numerators, since an
+    unreduced term may share any factor with it; otherwise two products and a sum."""
+    a1, b1, c1, d1 = x1._num
+    a2, b2, c2, d2 = y1._num
+    a3, b3, c3, d3 = x2._num
+    a4, b4, c4, d4 = y2._num
+    if c1 or d1 or c2 or d2 or c3 or d3 or c4 or d4:
+        return x1 * y1 + x2 * y2
+    e1 = x1._den * y1._den
+    e2 = x2._den * y2._den
+    g = gcd(e1, e2)
+    s = e1 // g
+    t = e2 // g
+    den = s * e2
+    a = (a1 * a2 + 3 * b1 * b2) * t + (a3 * a4 + 3 * b3 * b4) * s
+    b = (a1 * b2 + b1 * a2) * t + (a3 * b4 + b3 * a4) * s
+    g = gcd(den, a, b)
+    if g != 1:
+        a, b, den = a // g, b // g, den // g
+    return _new((a, b, 0, 0), den)
 
 
 def _new(num: tuple[int, int, int, int], den: int) -> QuadExt:

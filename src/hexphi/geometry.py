@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import QuadExt, as_quadext, sign, sqrt_exact
+from .exact import QuadExt, _dot, as_quadext, sign, sqrt_exact
 
 Direction = tuple[QuadExt, QuadExt]
 Frame = tuple[QuadExt, QuadExt]  # (cos(theta), sin(theta)) / |pc|; see tangent_frame
@@ -80,9 +80,9 @@ def tangent_lines_in_frame(p: Point, cx: QuadExt, cy: QuadExt, frame: Frame) -> 
     and divided by |pc|, which `frame`, from `tangent_frame`, folds in.  For
     radius > 0 the half-plane rule of the module docstring orders them."""
     cos_t, sin_t = frame
-    cos_x, sin_y, sin_x, cos_y = cos_t * cx, sin_t * cy, sin_t * cx, cos_t * cy
-    plus: Direction = (cos_x - sin_y, sin_x + cos_y)
-    minus: Direction = (cos_x + sin_y, cos_y - sin_x)
+    neg_sin = -sin_t
+    plus: Direction = (_dot(cos_t, cx, neg_sin, cy), _dot(sin_t, cx, cos_t, cy))
+    minus: Direction = (_dot(cos_t, cx, sin_t, cy), _dot(cos_t, cy, neg_sin, cx))
     if _lower_half(minus) and not _lower_half(plus):
         return [ParamLine._make((p, plus)), ParamLine._make((p, minus))]
     return [ParamLine._make((p, minus)), ParamLine._make((p, plus))]

@@ -374,6 +374,52 @@ def test_scan_prints_each_vertex_as_it_is_verified(capsys, monkeypatch):
     )
 
 
+def _interrupted_on_call(number: int):
+    """A `make_report` that raises KeyboardInterrupt on its call `number`, as Ctrl-C would."""
+    calls = []
+
+    def report(cluster):
+        calls.append(1)
+        if len(calls) == number:
+            raise KeyboardInterrupt
+        return construction.make_report(cluster)
+
+    return report
+
+
+@pytest.mark.parametrize("fail_first", [False, True])
+def test_interrupted_scan_sums_up_what_it_verified(capsys, monkeypatch, fail_first):
+    # the three lines printed stay; the summary counts them and exits 130
+    interrupted = _interrupted_on_call(4)
+
+    def report(cluster):
+        verdict = interrupted(cluster)
+        if fail_first and str(cluster.vertex) == "-1,0,0":
+            return verdict._replace(phi_exact_ok=False)
+        return verdict
+
+    monkeypatch.setattr(cli, "make_report", report)
+    assert main(["scan", "--radius", "0"]) == 130
+    first = "FAIL" if fail_first else "PASS"
+    assert capsys.readouterr() == (
+        f"-1,0,0 {first}\n-1,0,1 PASS\n-1,1,0 PASS\n"
+        f"vertices = 3\nfailures = {int(fail_first)}\nSCAN: INTERRUPTED\n",
+        "",
+    )
+
+
+def test_interrupted_json_scan_prints_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_report", _interrupted_on_call(4))
+    assert main(["scan", "--json", "--radius", "0"]) == 130
+    assert capsys.readouterr() == ("", "")
+
+
+def test_scan_interrupted_before_any_vertex(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_report", _interrupted_on_call(1))
+    assert main(["scan", "--radius", "2"]) == 130
+    assert capsys.readouterr().out == "vertices = 0\nfailures = 0\nSCAN: INTERRUPTED\n"
+
+
 def test_fib_max_must_be_at_least_two(capsys):
     assert run(capsys, "fib", "--max", "1")[0] == 2
 

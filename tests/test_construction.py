@@ -296,10 +296,16 @@ def test_lines_match_the_public_tangent_solver(side):
             assert lines == tangent_lines_in_frame(cluster.o, cx, cy, frame)
 
 
+# the modules whose names tests rebind to count calls to an `exact` function
+_BINDING_MODULES = (exact, geometry, construction, render, fibonacci, tessellation)
+
+
 def _count_field_operations(monkeypatch) -> dict[str, int]:
-    """From now on, count `QuadExt` muls and inverses into the returned dict."""
-    counts = {"mul": 0, "inverse": 0}
-    mul, inverse = QuadExt.__mul__, QuadExt.inverse
+    """From now on, count `QuadExt` muls and inverses, and `exact._dot` calls
+    wherever a module binds the name, into the returned dict.  A `_dot` that
+    falls back to two products counts them as muls too."""
+    counts = {"mul": 0, "dot": 0, "inverse": 0}
+    mul, inverse, dot = QuadExt.__mul__, QuadExt.inverse, exact._dot
 
     def counted_mul(self, other):
         counts["mul"] += 1
@@ -309,22 +315,31 @@ def _count_field_operations(monkeypatch) -> dict[str, int]:
         counts["inverse"] += 1
         return inverse(self)
 
+    def counted_dot(*args):
+        counts["dot"] += 1
+        return dot(*args)
+
     monkeypatch.setattr(QuadExt, "__mul__", counted_mul)
     monkeypatch.setattr(QuadExt, "__rmul__", counted_mul)
     monkeypatch.setattr(QuadExt, "inverse", counted_inverse)
+    for module in _BINDING_MODULES:
+        if getattr(module, "_dot", None) is dot:
+            monkeypatch.setattr(module, "_dot", counted_dot)
     return counts
 
 
 def test_construction_field_operation_counts(monkeypatch):
-    # bounds the work of one construction without timing it: the counts of
+    # pins the work of one construction without timing it: the counts of
     # the concentric solve, with one 1/|O - C|^2 for the shared tangent frame
     # and one 1/lead per distinct (lead, half); the six lines of a cluster
-    # share one, and no endpoint is built until it is read
+    # share one, and no endpoint is built until it is read.  Each two-term
+    # sum of products is one `_dot`: per hexagon the guard and the four
+    # components of the two directions, per line lead and half, and the
+    # solve's discriminant; none falls back, or the muls would grow by two
     cluster = build_cluster(VertexRef(HexIndex(2, -1), 3), Fraction(5, 7))
     counts = _count_field_operations(monkeypatch)
     construct_segments(cluster)
-    assert counts["mul"] <= 57
-    assert counts["inverse"] <= 2
+    assert counts == {"mul": 13, "dot": 28, "inverse": 2}
 
 
 def test_lines_share_a_solve_by_value_not_by_position(monkeypatch):
@@ -361,8 +376,7 @@ def test_verify_command_field_operation_counts(monkeypatch, capsys):
     counts = _count_field_operations(monkeypatch)
     assert cli.main(["verify", "--vertex", "2,-1,3", "--side", "5/7"]) == 0
     assert "PHI-EXACT: PASS" in capsys.readouterr().out
-    assert counts["mul"] <= 59
-    assert counts["inverse"] <= 2
+    assert counts == {"mul": 15, "dot": 28, "inverse": 2}
 
 
 def test_default_figure_field_operation_counts(monkeypatch, capsys, tmp_path):
@@ -370,7 +384,7 @@ def test_default_figure_field_operation_counts(monkeypatch, capsys, tmp_path):
     # from the sign of its endpoint's t, with no product of point and direction
     counts = _count_field_operations(monkeypatch)
     assert cli.main(["render", "--out", str(tmp_path / "figure.svg")]) == 0
-    assert counts["mul"] <= 153
+    assert counts == {"mul": 66, "dot": 28, "inverse": 2}
 
 
 def _count_endpoint_reads(monkeypatch) -> list[tuple[str, int]]:
@@ -417,7 +431,7 @@ def _count_calls(monkeypatch, function) -> list[int]:
         calls.append(1)
         return function(*args)
 
-    for module in (exact, geometry, construction, render, fibonacci, tessellation):
+    for module in _BINDING_MODULES:
         if getattr(module, function.__name__, None) is function:
             monkeypatch.setattr(module, function.__name__, counted)
     return calls

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,9 @@ from hexphi.exact import (
     to_decimal,
     to_decimals,
 )
+from hexphi.exact import _dot
 import bisection_oracle
+import float_oracle
 import hexphi.cli as cli
 from hexphi.construction import build_cluster
 from hexphi.geometry import Point
@@ -130,6 +133,81 @@ def test_sqrt3_times_sqrt5_is_sqrt15():
 
 def test_golden_ratio_defining_identity():
     assert PHI * PHI == PHI + ONE
+
+
+# --- _dot: x1*y1 + x2*y2 with one reduction --------------------------------
+
+def _dot_operands(rng: random.Random, quad5: bool, shared: bool) -> list[QuadExt]:
+    """Four seeded operands: numerators in [-60, 60], zero about one time in
+    five, and an operand is zero outright one time in ten.  Over `shared`
+    denominators the four share factors (of 2 * 3 * 5 * 7); otherwise they
+    are distinct primes, so every pair is coprime.  With `quad5` the sqrt5
+    and sqrt15 parts are drawn too, and the first operand has a sqrt5 part."""
+    dens = ([rng.choice([1, 2, 6, 10, 14, 30, 42, 210]) for _ in range(4)] if shared
+            else rng.sample([1, 11, 13, 17, 19, 23, 29, 31], 4))
+    operands = []
+    for den in dens:
+        if rng.random() < 0.1:
+            operands.append(ZERO)
+            continue
+        nums = [0 if rng.random() < 0.2 else rng.randint(-60, 60) for _ in range(4)]
+        if not quad5:
+            nums[2:] = [0, 0]
+        operands.append(QuadExt(*(Fraction(num, den) for num in nums)))
+    if quad5:
+        operands[0] = operands[0] + SQRT5
+    return operands
+
+
+def _dot_cases(seed: int, count: int, quad5: bool) -> list[list[QuadExt]]:
+    rng = random.Random(seed)
+    return [_dot_operands(rng, quad5, shared=bool(i % 2)) for i in range(count)]
+
+
+@pytest.mark.parametrize("quad5", [False, True], ids=["sqrt3-only", "with-sqrt5"])
+def test_dot_is_the_sum_of_two_products_structurally(quad5):
+    # the reduced form is unique, so the kernel must give the very numerators
+    # and denominator that two products and a sum give; the sqrt5 cases take
+    # the fallback, and the sqrt3-only ones the fused path
+    for x1, y1, x2, y2 in _dot_cases(20261022 + quad5, 2000, quad5):
+        got, want = _dot(x1, y1, x2, y2), x1 * y1 + x2 * y2
+        assert (got._num, got._den) == (want._num, want._den), (x1, y1, x2, y2)
+
+
+def test_dot_reduces_when_the_products_share_factors():
+    half, third = QuadExt(Fraction(1, 2)), QuadExt(Fraction(1, 3))
+    assert _dot(half, QuadExt(2), third, QuadExt(3)) == 2
+    assert _dot(half, half, half, half) == half
+    # a zero sum is the one zero, over denominator 1
+    for zero in (_dot(SQRT3, SQRT3, -ONE, QuadExt(3)), _dot(ZERO, third, half, ZERO)):
+        assert (zero._num, zero._den) == ((0, 0, 0, 0), 1)
+    # (5/6 + 7/4*sqrt3)(2/15 + sqrt3) = 193/36 + 16/15*sqrt3 and
+    # (-1/10 + 3/4*sqrt3)(4/9 + 2/3*sqrt3) = 131/90 + 4/15*sqrt3, both
+    # unreduced over 12*15 = 20*9 = 180 until the sum reduces to 60
+    x = _dot(QuadExt(Fraction(5, 6), Fraction(7, 4)), QuadExt(Fraction(2, 15), 1),
+             QuadExt(Fraction(-1, 10), Fraction(3, 4)), QuadExt(Fraction(4, 9), Fraction(2, 3)))
+    assert (x._num, x._den) == ((409, 80, 0, 0), 60)
+
+
+@pytest.mark.parametrize("quad5", [False, True], ids=["sqrt3-only", "with-sqrt5"])
+def test_dot_agrees_with_the_float_oracle(quad5):
+    f = float_oracle.quad_to_float
+    for x1, y1, x2, y2 in _dot_cases(7 + quad5, 500, quad5):
+        want = f(x1) * f(y1) + f(x2) * f(y2)
+        scale = abs(f(x1) * f(y1)) + abs(f(x2) * f(y2)) + 1
+        assert abs(f(_dot(x1, y1, x2, y2)) - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("quad5", [False, True], ids=["sqrt3-only", "with-sqrt5"])
+def test_dot_agrees_with_the_decimal_oracle(quad5):
+    # each operand rendered at 60 digits by the integer-root oracle, then
+    # multiplied and summed in `decimal`, within 1e-40 of the kernel's value
+    for x1, y1, x2, y2 in _dot_cases(11 + quad5, 200, quad5):
+        with localcontext() as context:
+            context.prec = 150
+            x1d, y1d, x2d, y2d = (Decimal(_decimal_oracle(x, 60)) for x in (x1, y1, x2, y2))
+            got = Decimal(_decimal_oracle(_dot(x1, y1, x2, y2), 50))
+            assert abs(got - (x1d * y1d + x2d * y2d)) < Decimal("1e-40")
 
 
 def test_phi_maps_short_span_to_sqrt3():
